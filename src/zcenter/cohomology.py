@@ -366,6 +366,15 @@ def embed_modulus(f: Cochain, M: int) -> Cochain:
     return Cochain(f.group, f.degree, M, dense=f.dense * scale)
 
 
+def _gamma_dense(W: np.ndarray, z: int) -> np.ndarray:
+    """omega(x,y,z) - omega(x,z,y) + omega(z,x,y) over all x, y.
+
+    Reads three n x n planes of the dense 3-cochain W and sweeps nothing;
+    callers that restrict to C(z) index the result by np.ix_(embed, embed).
+    """
+    return W[:, :, z] - W[:, z, :] + W[z, :, :]
+
+
 def gamma(omega: Cochain, z: int) -> Cochain:
     """The obstruction 2-cocycle of a central element z.
 
@@ -383,9 +392,7 @@ def gamma(omega: Cochain, z: int) -> Cochain:
         raise ValueError(f"element index {z} out of range")
     if z not in center(G):
         raise ValueError(f"element {z} is not central in {G.label}")
-    W = omega.dense
-    dense = W[:, :, z] - W[:, z, :] + W[z, :, :]
-    return Cochain(G, 2, omega.modulus, dense=dense)
+    return Cochain(G, 2, omega.modulus, dense=_gamma_dense(omega.dense, z))
 
 
 # -- serialization -----------------------------------------------------

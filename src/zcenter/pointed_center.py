@@ -15,12 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .cohomology import (CohomologyClassVerdict, Cochain, embed_modulus,
-                         gamma, is_cocycle, is_coboundary)
+import numpy as np
+
+from .cohomology import Cochain, _gamma_dense, is_cocycle
 from .group_core import (FiniteGroup, abelian_invariants, centralizer,
                          commutator_subgroup, conjugacy_classes,
                          quotient_group, subgroup)
-from .twisted_rep import TwistedGroupAlgebra, irrep_profile, regular_classes
+from .twisted_rep import TwistedGroupAlgebra, irrep_profile
 
 __all__ = [
     "PointedCategory",
@@ -39,7 +40,11 @@ __all__ = [
 
 
 class PointedCategory:
-    """A finite group together with a degree-3 associator cocycle."""
+    """A finite group together with a degree-3 associator cocycle.
+
+    The cocycle identity is checked once, here; per-class gamma is cut
+    from omega's planes at the representative and never re-verified.
+    """
 
     def __init__(self, group: FiniteGroup, omega: Cochain):
         if omega.degree != 3:
@@ -67,9 +72,8 @@ class PointedCategory:
             raise ValueError(f"class index {i} out of range (0..{cc.count - 1})")
         g = int(cc.representatives[i])
         H, embed = subgroup(self.group, centralizer(self.group, [g]))
-        omega_H = self.omega.restrict(H, embed)
-        z_H = int((embed == g).nonzero()[0][0])
-        alg = TwistedGroupAlgebra(H, gamma(omega_H, z_H))
+        dense = _gamma_dense(self.omega.dense, g)[np.ix_(embed, embed)]
+        alg = TwistedGroupAlgebra(H, Cochain(H, 2, self.modulus, dense=dense))
         self._algebras[i] = alg
         return alg
 
@@ -98,11 +102,7 @@ class ObstructionResult:
     class_index: int
     representative: int
     gamma: Cochain
-    verdict: CohomologyClassVerdict
-
-    @property
-    def vanishes(self) -> bool:
-        return bool(self.verdict.is_coboundary)
+    vanishes: bool
 
 
 @dataclass
@@ -125,21 +125,22 @@ def e2_00_basis(C: PointedCategory):
 def obstruction(C: PointedCategory, i: int) -> ObstructionResult:
     """gamma at the i-th class representative on its centralizer.
 
-    "Vanishes" means the class dies over the full unit group K^x, not
-    merely mod N: the coboundary equation is solved with the witness
-    allowed values in mu_{N*exponent}, which is always enough room.
-    (Deciding only mod N overstates obstructions, e.g. the symmetric
-    cocycle gamma(1,1) = zeta_2 on C2 is killed by phi(1) = zeta_4.)
+    "Vanishes" means the class of gamma dies in H^2(C(g), K^x), not
+    merely mod N (the symmetric cocycle gamma(1,1) = zeta_2 on C2 is
+    killed by phi(1) = zeta_4).  It is read off the Wedderburn profile
+    of K^gamma C(g): gamma dies over K^x iff that algebra has a
+    one-dimensional representation.  A 1-dim rep u_x -> phi(x) in K^x
+    satisfies phi(x)phi(y) = zeta^gamma(x,y) phi(xy), which says exactly
+    delta(phi) = gamma; conversely such a phi is a 1-dim rep
+    (Karpilovsky, Projective Representations of Finite Groups, 1985).
     """
     alg = C.class_algebra(i)
     cc = conjugacy_classes(C.group)
-    gam = alg.cocycle
-    enlarged = embed_modulus(gam, gam.modulus * alg.group.exponent())
     return ObstructionResult(
         class_index=i,
         representative=int(cc.representatives[i]),
-        gamma=gam,
-        verdict=is_coboundary(enlarged))
+        gamma=alg.cocycle,
+        vanishes=1 in irrep_profile(alg).dimensions)
 
 
 def lift_count(C: PointedCategory, spec: CentralObjectSpec) -> int:
@@ -173,7 +174,7 @@ def kernel_of_characteristic(C: PointedCategory) -> tuple:
 def count_simple_central_objects(C: PointedCategory) -> int:
     """Simple lifts: one class with one irreducible each."""
     cc = conjugacy_classes(C.group)
-    return sum(len(regular_classes(C.class_algebra(i)))
+    return sum(len(irrep_profile(C.class_algebra(i)).dimensions)
                for i in range(cc.count))
 
 

@@ -391,7 +391,12 @@ def _extension_profile(T: TwistedGroupAlgebra) -> IrrepProfile:
         return IrrepProfile(dimensions=dims,
                             regular_class_count=len(dims),
                             method="central-extension")
-    Gt, c = central_extension(G, T.cocycle)
+    # zeta_N^gamma = zeta_N'^gamma' with N' = N / gcd(N, gamma's values),
+    # so the smaller extension Z/N' x_gamma' G gives the same algebra
+    d = math.gcd(N, int(np.gcd.reduce(T.cocycle.dense, axis=None)))
+    N = N // d
+    Gt, c = central_extension(
+        G, Cochain(G, 2, N, dense=T.cocycle.dense // d))
     if Gt.is_abelian():
         # every character of the central Z/N extends in |G| ways
         return IrrepProfile(dimensions=(1,) * G.order,

@@ -6,9 +6,12 @@ import json
 import numpy as np
 import pytest
 
-from zcenter.cohomology import Cochain, CocycleError, coboundary, cup3, gamma
+from zcenter import cohomology, snf
+from zcenter.cohomology import (Cochain, CocycleError, coboundary, cup3,
+                                embed_modulus, gamma, is_coboundary)
 from zcenter.group_core import (center, centralizer, conjugacy_classes,
-                                direct_product, make_cyclic, make_symmetric)
+                                direct_product, make_cyclic, make_symmetric,
+                                parse_group_spec, subgroup)
 from zcenter.pointed_center import (CentralObjectSpec, PointedCategory,
                                     center_report, count_simple_central_objects,
                                     e2_00_basis, e_page_report,
@@ -101,7 +104,8 @@ def test_obstruction_uses_full_unit_group(C2):
     assert res.vanishes
     assert res.gamma.modulus == 2
     assert not res.gamma.is_zero()
-    assert res.verdict.witness.modulus == 4
+    v = is_coboundary(embed_modulus(res.gamma, 4))
+    assert v.is_coboundary and v.witness.modulus == 4
 
 
 def test_sign_cocycle_obstructions(S3):
@@ -121,10 +125,21 @@ def test_vanishing_iff_unit_lift(C2, C2cubed, C3cubed, S3, D4, Q8):
         cat(D4), cat(Q8),
     ]
     for C in cases:
-        cc = conjugacy_classes(C.group)
+        G = C.group
+        cc = conjugacy_classes(G)
         for i in range(cc.count):
             unit = CentralObjectSpec.unit(cc.count, i)
-            assert (lift_count(C, unit) > 0) == obstruction(C, i).vanishes
+            res = obstruction(C, i)
+            assert (lift_count(C, unit) > 0) == res.vanishes
+            # independent side: gamma from the restricted omega, decided
+            # by the Smith-form coboundary solver over mu_{N*exponent}
+            g = int(cc.representatives[i])
+            H, embed = subgroup(G, centralizer(G, [g]))
+            gam = gamma(C.omega.restrict(H, embed),
+                        int((embed == g).nonzero()[0][0]))
+            assert np.array_equal(gam.dense, res.gamma.dense)
+            enlarged = embed_modulus(gam, C.modulus * H.exponent())
+            assert res.vanishes == is_coboundary(enlarged).is_coboundary
 
 
 def test_vanishing_implies_all_regular_on_abelian_classes(C2cubed):
@@ -135,6 +150,29 @@ def test_vanishing_implies_all_regular_on_abelian_classes(C2cubed):
         alg = C.class_algebra(i)
         if obstruction(C, i).vanishes:
             assert len(regular_classes(alg)) == alg.group.order
+
+
+def test_report_verifies_omega_once_and_never_solves(monkeypatch):
+    """center_report sweeps omega's cocycle identity once (|G| slabs) and
+    reads every per-class verdict off the profiles, not the Smith solver."""
+    G = parse_group_spec("C2xC2xC2xC2")
+    slabs = []
+    real_slab = cohomology._delta3_slab
+
+    def counting_slab(W, T, g):
+        slabs.append(g)
+        return real_slab(W, T, g)
+
+    def no_solver(*args, **kwargs):
+        raise AssertionError("the report path reached the Smith solver")
+
+    monkeypatch.setattr(cohomology, "_delta3_slab", counting_slab)
+    monkeypatch.setattr(snf, "solve_modular_linear", no_solver)
+    monkeypatch.setattr(cohomology, "solve_modular_linear", no_solver)
+    report = center_report(cat(G, cup3(G, 0, 1, 2, 2)))
+    assert len(slabs) == G.order == 16
+    assert len(report.obstructions) == 16
+    assert sum(o.vanishes for o in report.obstructions) == 2
 
 
 # -- lift counts -------------------------------------------------------

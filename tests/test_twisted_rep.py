@@ -152,12 +152,20 @@ def test_auto_uses_extension_for_nonabelian(S3):
 
 def test_extension_size_guard():
     G = make_cyclic(60)
-    T = algebra(G, {(0, 0): 1}, 70)
-    # the fast path handles it; the extension would have order 4200
+    # gamma = delta(phi) mod 70 with phi(1) = 1 takes the value 1, so the
+    # extension keeps modulus 70 and would have order 4200
+    phi = Cochain(G, 1, 70, values={1: 1})
+    T = TwistedGroupAlgebra(G, coboundary(phi))
+    # the fast path handles it
     prof = irrep_profile(T, method="abelian-fast-path")
     assert sum(d * d for d in prof.dimensions) == 60
     with pytest.raises(ValueError, match="4096"):
         irrep_profile(T, method="central-extension")
+    # the bilinear gamma mod 70 takes only multiples of 7: its extension
+    # is built over Z/10 (order 600), and both paths agree on it
+    T = algebra(G, {(0, 0): 1}, 70)
+    assert irrep_profile(T, method="central-extension").dimensions == \
+        irrep_profile(T, method="abelian-fast-path").dimensions
 
 
 def test_profile_cached(C2cubed):
