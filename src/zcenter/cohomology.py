@@ -83,15 +83,11 @@ class Cochain:
                 if any(not 0 <= g < n for g in key):
                     raise ValueError(f"element index out of range in {key}")
                 arr[key] = v % modulus
-        e = group.identity
-        if degree > 0:
-            for axis in range(degree):
-                sl = tuple(e if a == axis else slice(None)
-                           for a in range(degree))
-                if np.any(arr[sl]):
-                    raise ValueError(
-                        "cochain is not normalized (nonzero on an identity "
-                        f"argument, axis {axis})")
+        axis = _unnormalized_axis(arr, group.identity)
+        if axis is not None:
+            raise ValueError(
+                "cochain is not normalized (nonzero on an identity "
+                f"argument, axis {axis})")
         self.dense = arr
         self._values = None
 
@@ -165,22 +161,43 @@ class CohomologyClassVerdict:
 
 # -- the bar differential ---------------------------------------------
 
+def _delta_slab(F: np.ndarray, T: np.ndarray, g: int, degree: int,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """delta(F)(g, h1, ..., hk) over all h for a degree-k array F.
+
+    The faces of the bar differential with trivial action, unreduced:
+      F(h1..hk) - F(g h1, h2..hk)
+        + sum_{i<k} (-1)^(i+1) F(g, h1..h_i h_(i+1)..hk)
+        + (-1)^(k+1) F(g, h1..h_(k-1)).
+    Axes of F past `degree` ride along unchanged, so a stack of cochains
+    (a basis, say) goes through in one call.  The slab accumulates in
+    `out` when given, so a sweep reuses one buffer.  This is the only
+    place the face formula is written.
+    """
+    Fg = F[g]
+    # T's entries are in range; mode "clip" only stops take from
+    # buffering its result before copying it into `out`
+    out = np.take(F, T[g], axis=0, out=out, mode="clip")
+    np.subtract(F, out, out=out)
+    for a in range(degree):
+        # each face stays unnamed, so it is freed before the next is taken
+        (np.subtract if a % 2 else np.add)(
+            out, np.take(Fg, T, axis=a) if a < degree - 1
+            else np.expand_dims(Fg, a), out=out)
+    return out
+
+
 def _delta_dense(T: np.ndarray, degree: int, F: np.ndarray,
                  modulus: int) -> np.ndarray:
-    """Dense coboundary of a degree-0/1/2 array (trivial action)."""
+    """Dense coboundary of a degree-k array: its slabs stacked, mod N."""
     n = T.shape[0]
     if degree == 0:
         return np.zeros((n,), dtype=np.int64)
-    if degree == 1:
-        out = F[None, :] - F[T] + F[:, None]
-        return out % modulus
-    if degree == 2:
-        g = np.arange(n)
-        out = np.empty((n, n, n), dtype=np.int64)
-        for a in g:
-            out[a] = F - F[T[a]] + F[a][T] - F[a][:, None]
-        return out % modulus
-    raise ValueError(f"coboundary not supported in degree {degree}")
+    out = np.empty((n,) + F.shape, dtype=np.int64)
+    for g in range(n):
+        _delta_slab(F, T, g, degree, out=out[g])
+    out %= modulus
+    return out
 
 
 def coboundary(f: Cochain) -> Cochain:
@@ -191,36 +208,22 @@ def coboundary(f: Cochain) -> Cochain:
     return Cochain(f.group, f.degree + 1, f.modulus, dense=out)
 
 
-def _delta3_slab(W: np.ndarray, T: np.ndarray, g: int) -> np.ndarray:
-    """delta(omega)(g, -, -, -) for a dense 3-cochain, one g at a time."""
-    Wg = W[g]
-    return (W - W[T[g]] + Wg[T] - Wg[:, T] + Wg[:, :, None])
-
-
 def is_cocycle(f: Cochain) -> CohomologyClassVerdict:
-    """Check the cocycle identity; certificate tuple on failure."""
+    """Check the cocycle identity one slab at a time; the certificate is
+    the lexicographically first failing tuple."""
     if f.degree not in (1, 2, 3):
         raise ValueError("cocycle check needs degree 1, 2, or 3")
     cached = f.__dict__.get("_cocycle_verdict")
     if cached is not None:
         return cached
-    T = f.group.table
-    N = f.modulus
     cert = None
-    if f.degree in (1, 2):
-        delta = _delta_dense(T, f.degree, f.dense, N)
-        bad = np.argwhere(delta)
-        if len(bad):
-            cert = tuple(int(x) for x in bad[0])
-    else:
-        n = f.group.order
-        W = f.dense
-        for g in range(n):
-            slab = _delta3_slab(W, T, g) % N
-            if slab.any():
-                h, k, l = np.argwhere(slab)[0]
-                cert = (g, int(h), int(k), int(l))
-                break
+    slab = np.empty_like(f.dense)
+    for g in range(f.group.order):
+        _delta_slab(f.dense, f.group.table, g, f.degree, out=slab)
+        slab %= f.modulus
+        if slab.any():
+            cert = (g,) + tuple(int(x) for x in np.argwhere(slab)[0])
+            break
     verdict = CohomologyClassVerdict(is_cocycle=cert is None,
                                      failure_certificate=cert)
     f.__dict__["_cocycle_verdict"] = verdict
@@ -233,8 +236,10 @@ def is_coboundary(f: Cochain) -> CohomologyClassVerdict:
     """Decide whether a 2- or 3-cocycle is a coboundary; witness if so.
 
     Solves delta(phi) = f in the normalized unknowns phi (indexed by
-    tuples of non-identity elements) as an integer system mod N.
-    Non-cocycles are rejected with their failure certificate.
+    tuples of non-identity elements) as an integer system mod N.  The
+    system's columns are delta of the basis cochains of those unknowns,
+    its rows the tuples of non-identity elements.  Non-cocycles are
+    rejected with their failure certificate.
     """
     if f.degree not in (2, 3):
         raise ValueError("coboundary decision needs degree 2 or 3")
@@ -246,65 +251,30 @@ def is_coboundary(f: Cochain) -> CohomologyClassVerdict:
     G = f.group
     N = f.modulus
     n = G.order
-    e = G.identity
+    k = f.degree
     if f.is_zero():
-        witness = Cochain.zero(G, f.degree - 1, N)
+        witness = Cochain.zero(G, k - 1, N)
         return CohomologyClassVerdict(True, True, witness)
 
-    others = [g for g in range(n) if g != e]
-    pos = {g: i for i, g in enumerate(others)}
-    T = G.table
-    rows = []
-    rhs = []
-    if f.degree == 2:
-        nv = len(others)
-        for g in others:
-            for h in others:
-                row = [0] * nv
-                row[pos[g]] += 1
-                row[pos[h]] += 1
-                gh = int(T[g, h])
-                if gh != e:
-                    row[pos[gh]] -= 1
-                rows.append(row)
-                rhs.append(int(f.dense[g, h]))
-    else:
-        nv = len(others) ** 2
-
-        def var(a, b):
-            return pos[a] * len(others) + pos[b]
-
-        for g in others:
-            for h in others:
-                gh = int(T[g, h])
-                for k in others:
-                    hk = int(T[h, k])
-                    row = [0] * nv
-                    row[var(h, k)] += 1
-                    if gh != e:
-                        row[var(gh, k)] -= 1
-                    if hk != e:
-                        row[var(g, hk)] += 1
-                    row[var(g, h)] -= 1
-                    rows.append(row)
-                    rhs.append(int(f.dense[g, h, k]))
-
+    others = [g for g in range(n) if g != G.identity]
+    inner = np.ix_(*[others] * (k - 1))
+    nv = len(others) ** (k - 1)
+    # basis[..., j] is the normalized (k-1)-cochain of unknown j
+    basis = np.zeros((n,) * (k - 1) + (nv,), dtype=np.int64)
+    basis[inner] = np.eye(nv, dtype=np.int64).reshape(
+        (len(others),) * (k - 1) + (nv,))
+    rows = [_delta_slab(basis, G.table, g, k - 1)[inner].reshape(-1, nv)
+            for g in others]
+    rhs = f.dense[np.ix_(*[others] * k)].reshape(-1, 1)
     # duplicate equations are common; dedupe the augmented rows
-    aug = np.concatenate([np.array(rows, dtype=np.int64),
-                          np.array(rhs, dtype=np.int64)[:, None]], axis=1)
-    aug = np.unique(aug, axis=0)
+    aug = np.unique(np.concatenate([np.concatenate(rows), rhs], axis=1),
+                    axis=0)
     x = solve_modular_linear(aug[:, :-1].tolist(), aug[:, -1].tolist(), N)
     if x is None:
         return CohomologyClassVerdict(True, False, None)
-    if f.degree == 2:
-        dense = np.zeros(n, dtype=np.int64)
-        dense[others] = x
-    else:
-        dense = np.zeros((n, n), dtype=np.int64)
-        for a in others:
-            for b in others:
-                dense[a, b] = x[pos[a] * len(others) + pos[b]]
-    witness = Cochain(G, f.degree - 1, N, dense=dense)
+    dense = np.zeros((n,) * (k - 1), dtype=np.int64)
+    dense[inner] = np.reshape(x, (len(others),) * (k - 1))
+    witness = Cochain(G, k - 1, N, dense=dense)
     check = coboundary(witness)
     if not np.array_equal(check.dense, f.dense):
         raise AssertionError("internal error: witness fails delta(phi) = f")
@@ -424,15 +394,13 @@ def cochain_from_json(G: FiniteGroup, data: dict):
         if any(not isinstance(g, int) or not 0 <= g < n for g in idx):
             raise ValueError(f"element index out of range in entry {entry!r}")
         dense[tuple(idx)] = int(v) % N
-    correction = _normalization_correction(G, k, N, dense)
-    if correction is not None:
-        dense = (dense - _delta_dense(G.table, k - 1, correction, N)) % N
+    dense, correction = _normalize(G, k, N, dense)
     return Cochain(G, k, N, dense=dense), correction
 
 
-def _normalization_correction(G: FiniteGroup, k: int, N: int,
-                              dense: np.ndarray):
-    """Degree k-1 array phi with dense - delta(phi) normalized, or None.
+def _normalize(G: FiniteGroup, k: int, N: int, dense: np.ndarray):
+    """(dense - delta(phi), phi) with the first normalized; phi is None
+    when dense already is.
 
     Works for cocycles (degrees 2 and 3), where the identity-slot values
     are forced by the cocycle identity:
@@ -440,8 +408,8 @@ def _normalization_correction(G: FiniteGroup, k: int, N: int,
       degree 3: phi(g,h) = omega(e,e,h) - omega(g,h,e).
     """
     e = G.identity
-    if k == 0 or _is_normalized(dense, k, e):
-        return None
+    if _unnormalized_axis(dense, e) is None:
+        return dense, None
     if k == 1:
         raise ValueError(
             "degree-1 cochain with nonzero value at the identity cannot be "
@@ -453,19 +421,19 @@ def _normalization_correction(G: FiniteGroup, k: int, N: int,
         phi = (np.broadcast_to(dense[e, e, :], (G.order, G.order))
                - dense[:, :, e]) % N
     fixed = (dense - _delta_dense(G.table, k - 1, phi, N)) % N
-    if not _is_normalized(fixed, k, e):
+    if _unnormalized_axis(fixed, e) is not None:
         raise CocycleError(
             "cochain cannot be normalized (it violates the cocycle "
             "identities that pin identity-argument values)")
-    return phi
+    return fixed, phi
 
 
-def _is_normalized(dense: np.ndarray, k: int, e: int) -> bool:
-    for axis in range(k):
-        sl = tuple(e if a == axis else slice(None) for a in range(k))
-        if np.any(dense[sl]):
-            return False
-    return True
+def _unnormalized_axis(dense: np.ndarray, e: int):
+    """First axis on which dense is nonzero at the identity, else None."""
+    for axis in range(dense.ndim):
+        if dense.take(e, axis=axis).any():
+            return axis
+    return None
 
 
 def load_cocycle(G: FiniteGroup, path: str):

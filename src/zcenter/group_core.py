@@ -629,10 +629,6 @@ def _p_part(n: int, p: int) -> int:
     return out
 
 
-def _coprime_part(n: int, p: int) -> int:
-    return n // _p_part(n, p)
-
-
 def _power_map(G: FiniteGroup, p: int) -> np.ndarray:
     """Array g -> g**p."""
     cur = np.full(G.order, G.identity, dtype=np.int32)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohomology import Cochain, CocycleError, is_cocycle
-from .group_core import FiniteGroup, centralizer, conjugacy_classes
+from .group_core import FiniteGroup, _prime_factors, conjugacy_classes
 
 __all__ = [
     "TwistedGroupAlgebra",
@@ -86,14 +86,9 @@ class IrrepProfile:
 
 def _regular_element_mask(T: TwistedGroupAlgebra) -> np.ndarray:
     """Element g is regular iff gamma(g,x) = gamma(x,g) on its centralizer."""
-    G = T.group
     gam = T.cocycle.dense
-    n = G.order
-    mask = np.zeros(n, dtype=bool)
-    for g in range(n):
-        cz = np.array(centralizer(G, [g]), dtype=np.int64)
-        mask[g] = bool(np.array_equal(gam[g, cz], gam[cz, g]))
-    return mask
+    table = T.group.table
+    return ((gam == gam.T) | (table != table.T)).all(axis=1)
 
 
 def regular_classes(T: TwistedGroupAlgebra) -> set:
@@ -123,9 +118,7 @@ def _abelian_profile(T: TwistedGroupAlgebra):
     extension path, which recomputes from scratch.
     """
     G = T.group
-    gam = T.cocycle.dense
-    sym = (gam == gam.T).all(axis=1)
-    R = np.nonzero(sym)[0]
+    R = np.nonzero(_regular_element_mask(T))[0]
     prods = G.table[np.ix_(R, R)]
     if not np.isin(prods, R).all():
         return None
@@ -167,16 +160,7 @@ def _dixon_prime(exponent: int, order: int) -> int:
 
 def _primitive_root(p: int) -> int:
     m = p - 1
-    factors = []
-    t, f = m, 2
-    while f * f <= t:
-        if t % f == 0:
-            factors.append(f)
-            while t % f == 0:
-                t //= f
-        f += 1
-    if t > 1:
-        factors.append(t)
+    factors = _prime_factors(m)
     for h in range(2, p):
         if all(pow(h, m // q, p) != 1 for q in factors):
             return h

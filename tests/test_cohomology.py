@@ -1,6 +1,7 @@
 """Cochains, the bar differential, cocycle/coboundary decisions, cup
 products, and the obstruction 2-cocycle gamma."""
 
+import itertools
 import json
 
 import numpy as np
@@ -99,13 +100,21 @@ def test_restrict(S3):
 
 # -- the differential --------------------------------------------------
 
-def test_delta_known_values(C4):
+def test_delta_known_values(C4, S3):
     # delta f (g, h) = f(h) - f(gh) + f(g)
     f = Cochain(C4, 1, 8, values={1: 1, 2: 2, 3: 3})
     df = coboundary(f)
     for g in range(4):
         for h in range(4):
             assert df(g, h) == (f(h) - f((g + h) % 4) + f(g)) % 8
+    # delta f (g, h, k) = f(h, k) - f(gh, k) + f(g, hk) - f(g, h); S3 is
+    # non-abelian, so a face with its product in the wrong order shows
+    f2 = random_cochain(S3, 2, 7, np.random.default_rng(17))
+    df2 = coboundary(f2)
+    T = S3.table
+    for g, h, k in itertools.product(range(6), repeat=3):
+        assert df2(g, h, k) == (f2(h, k) - f2(T[g, h], k) + f2(g, T[h, k])
+                                - f2(g, h)) % 7
     # the classic extension cocycle of Z/8 over Z/4: carry of addition
     carry = Cochain(C4, 2, 8, dense=np.add.outer(range(4), range(4)) // 4)
     assert is_cocycle(carry).is_cocycle
@@ -163,22 +172,50 @@ def test_constant_off_identity_on_c2_is_a_cocycle(C2):
     assert v.is_cocycle and v.failure_certificate is None
 
 
+def _first_failure(f, delta_at):
+    """Lexicographically first tuple where delta_at is nonzero mod N."""
+    for args in itertools.product(range(f.group.order), repeat=f.degree + 1):
+        if delta_at(*args) % f.modulus:
+            return args
+    return None
+
+
 def test_non_cocycle_certificates(C4, S3):
+    T = S3.table
+    f1 = Cochain(C4, 1, 5, values={1: 1})
+    v1 = is_cocycle(f1)
+    assert not v1.is_cocycle
+    assert v1.failure_certificate == _first_failure(
+        f1, lambda g, h: f1(h) - f1((g + h) % 4) + f1(g))
+
     f = Cochain(C4, 2, 5, values={(1, 2): 1})
     v = is_cocycle(f)
     assert not v.is_cocycle
     g, h, k = v.failure_certificate
     lhs = (f(h, k) - f((g + h) % 4, k) + f(g, (h + k) % 4) - f(g, h)) % 5
     assert lhs != 0
+    assert v.failure_certificate == _first_failure(
+        f, lambda g, h, k: (f(h, k) - f((g + h) % 4, k) + f(g, (h + k) % 4)
+                            - f(g, h)))
+
+    f2 = Cochain(S3, 2, 3, values={(1, 2): 1})
+    v2 = is_cocycle(f2)
+    assert not v2.is_cocycle
+    assert v2.failure_certificate == _first_failure(
+        f2, lambda g, h, k: (f2(h, k) - f2(T[g, h], k) + f2(g, T[h, k])
+                             - f2(g, h)))
 
     w = Cochain(S3, 3, 3, values={(1, 1, 1): 1})
     v3 = is_cocycle(w)
     assert not v3.is_cocycle
     g, h, k, l = v3.failure_certificate
-    T = S3.table
     val = (w(h, k, l) - w(T[g, h], k, l) + w(g, T[h, k], l)
            - w(g, h, T[k, l]) + w(g, h, k)) % 3
     assert val != 0
+    assert v3.failure_certificate == _first_failure(
+        w, lambda g, h, k, l: (w(h, k, l) - w(T[g, h], k, l)
+                               + w(g, T[h, k], l) - w(g, h, T[k, l])
+                               + w(g, h, k)))
 
 
 def test_cocycle_verdict_cached(C4):

@@ -157,16 +157,17 @@ def test_report_verifies_omega_once_and_never_solves(monkeypatch):
     reads every per-class verdict off the profiles, not the Smith solver."""
     G = parse_group_spec("C2xC2xC2xC2")
     slabs = []
-    real_slab = cohomology._delta3_slab
+    real_slab = cohomology._delta_slab
 
-    def counting_slab(W, T, g):
-        slabs.append(g)
-        return real_slab(W, T, g)
+    def counting_slab(F, T, g, degree, out=None):
+        if degree == 3:
+            slabs.append(g)
+        return real_slab(F, T, g, degree, out)
 
     def no_solver(*args, **kwargs):
         raise AssertionError("the report path reached the Smith solver")
 
-    monkeypatch.setattr(cohomology, "_delta3_slab", counting_slab)
+    monkeypatch.setattr(cohomology, "_delta_slab", counting_slab)
     monkeypatch.setattr(snf, "solve_modular_linear", no_solver)
     monkeypatch.setattr(cohomology, "solve_modular_linear", no_solver)
     report = center_report(cat(G, cup3(G, 0, 1, 2, 2)))
