@@ -19,8 +19,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import lcm
 
-from .bands import band_center_families, centralizer_of_hom, conjugacy_types
+from .bands import band_center_families, conjugacy_types
 from .cohomology import (CocycleError, Cochain, cup3, is_cocycle,
                          is_coboundary, load_cocycle)
 from .group_core import FiniteGroup, center, conjugacy_classes, parse_group_spec
@@ -296,7 +297,6 @@ def _cmd_bands_types(args) -> int:
 def _cmd_bands_families(args) -> int:
     groups = [_load_group(s) for s in args.universe.split(",")]
     fams = sorted(band_center_families(groups))
-    from math import lcm
     L = lcm(*(G.exponent() for G in groups))
     payload = {"universe": [G.label for G in groups],
                "modulus": L,

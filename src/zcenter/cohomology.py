@@ -4,8 +4,10 @@ Roots of unity are modeled additively: the residue v in Z/N stands for
 zeta^v with zeta a fixed primitive N-th root.  Cochains are normalized
 (zero whenever an argument is the identity) and the coboundary is the
 bar differential with trivial action.  Cocycle and coboundary decisions
-are exact; the latter solves an integer linear system mod N by Smith
-normal form, which stays correct for composite N.
+are exact; the latter solves an integer linear system mod N by
+elimination over each prime power of N (`snf`).  Moduli are bounded by
+`snf.MAX_MODULUS` = 2^31, which keeps the int64 arithmetic on residues
+exact.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .group_core import FiniteGroup, center
-from .snf import solve_modular_linear
+from .snf import check_modulus, solve_modular_linear
 
 __all__ = [
     "Cochain",
@@ -58,8 +60,7 @@ class Cochain:
                  values=None, dense=None):
         if not 0 <= degree <= 3:
             raise ValueError(f"degree must be 0..3, got {degree}")
-        if modulus < 1:
-            raise ValueError(f"modulus must be positive, got {modulus}")
+        check_modulus(modulus)
         limit = MAX_ORDER_DEG3 if degree == 3 else MAX_ORDER_DEG_LE2
         if group.order > limit:
             raise ValueError(
@@ -259,17 +260,16 @@ def is_coboundary(f: Cochain) -> CohomologyClassVerdict:
     others = [g for g in range(n) if g != G.identity]
     inner = np.ix_(*[others] * (k - 1))
     nv = len(others) ** (k - 1)
-    # basis[..., j] is the normalized (k-1)-cochain of unknown j
-    basis = np.zeros((n,) * (k - 1) + (nv,), dtype=np.int64)
-    basis[inner] = np.eye(nv, dtype=np.int64).reshape(
+    # basis[..., j] is the normalized (k-1)-cochain of unknown j; int8
+    # holds delta of a 0/1 basis, a signed sum of k + 1 faces
+    basis = np.zeros((n,) * (k - 1) + (nv,), dtype=np.int8)
+    basis[inner] = np.eye(nv, dtype=np.int8).reshape(
         (len(others),) * (k - 1) + (nv,))
-    rows = [_delta_slab(basis, G.table, g, k - 1)[inner].reshape(-1, nv)
-            for g in others]
-    rhs = f.dense[np.ix_(*[others] * k)].reshape(-1, 1)
-    # duplicate equations are common; dedupe the augmented rows
-    aug = np.unique(np.concatenate([np.concatenate(rows), rhs], axis=1),
-                    axis=0)
-    x = solve_modular_linear(aug[:, :-1].tolist(), aug[:, -1].tolist(), N)
+    # one row per tuple of non-identity elements; the solver drops
+    # duplicate equations itself, as rows eliminated to zero
+    A = np.concatenate([_delta_slab(basis, G.table, g, k - 1)[inner]
+                        .reshape(-1, nv) for g in others])
+    x = solve_modular_linear(A, f.dense[np.ix_(*[others] * k)].ravel(), N)
     if x is None:
         return CohomologyClassVerdict(True, False, None)
     dense = np.zeros((n,) * (k - 1), dtype=np.int64)
@@ -304,6 +304,7 @@ def cup3(G: FiniteGroup, i: int, j: int, k: int, N: int) -> Cochain:
         raise ValueError(
             "cup3 needs a group built as a direct product of cyclic factors")
     nf = len(G.cyclic_factors)
+    check_modulus(N)  # before N // g, which must fit in int64
     for t in (i, j, k):
         if not 0 <= t < nf:
             raise ValueError(f"factor index {t} out of range (0..{nf - 1})")
@@ -330,6 +331,7 @@ def embed_modulus(f: Cochain, M: int) -> Cochain:
     the witness, and modulus N * exponent(G) always suffices, because
     any phi with delta(phi) = f has phi^N equal to a character.
     """
+    check_modulus(M)  # before the rescaling, which must fit in int64
     if M % f.modulus:
         raise ValueError(f"target modulus {M} not a multiple of {f.modulus}")
     scale = M // f.modulus
@@ -381,8 +383,9 @@ def cochain_from_json(G: FiniteGroup, data: dict):
             raise ValueError(f"cocycle JSON missing field {key!r}")
     N = data["modulus"]
     k = data["degree"]
-    if not isinstance(N, int) or N < 1:
+    if not isinstance(N, int):
         raise ValueError(f"bad modulus {N!r}")
+    check_modulus(N)
     if not isinstance(k, int) or not 0 <= k <= 3:
         raise ValueError(f"bad degree {k!r}")
     n = G.order

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cohomology import Cochain, _gamma_dense, is_cocycle
+from .cohomology import Cochain, CocycleError, _gamma_dense, is_cocycle
 from .group_core import (FiniteGroup, abelian_invariants, centralizer,
                          commutator_subgroup, conjugacy_classes,
                          quotient_group, subgroup)
@@ -53,7 +53,6 @@ class PointedCategory:
             raise ValueError("associator is defined on a different group")
         verdict = is_cocycle(omega)
         if not verdict.is_cocycle:
-            from .cohomology import CocycleError
             raise CocycleError(
                 "associator fails the cocycle identity at "
                 f"{verdict.failure_certificate}",

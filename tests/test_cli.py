@@ -172,6 +172,25 @@ def test_cocycle_file_errors(capsys, tmp_path):
     assert code == 2
 
 
+def test_modulus_bound(capsys, tmp_path):
+    # residues mod N >= 2^31 could overflow int64: every way a modulus
+    # enters is refused with the bound named, and no verdict is printed
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(
+        {"modulus": 2 ** 31, "degree": 2, "entries": [[1, 1, 2 ** 70]]}))
+    for argv, exit_code in (
+            (("center-report", "--group", "C3",
+              "--cocycle", "cup:0,0,0:9223372036854775806"), 2),
+            (("center-report", "--group", "C3",
+              "--cocycle", "cup:0,0,0:100000000000000000002"), 2),
+            (("cohomology", "--group", "C2", "--cocycle", "zero",
+              "--modulus", "100000000000000000000"), 1),
+            (("cohomology", "--group", "C2", "--cocycle", f"file:{big}"), 2)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (exit_code, ""), argv
+        assert "2147483648" in err, argv
+
+
 # -- obstruction / center-report / lift / simples ----------------------
 
 def test_obstruction_cup(capsys):

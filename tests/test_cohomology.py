@@ -281,6 +281,19 @@ def test_extension_cocycle_modulus_matters(C2):
     assert v.witness(1) % 2 == 1
 
 
+def test_modulus_bound(C2, C2cubed):
+    # residues mod N >= 2^31 could overflow int64, so no cochain takes one
+    f = Cochain(C2, 2, 2, values={(1, 1): 1})
+    for build in (lambda: Cochain(C2, 2, 2 ** 31),
+                  lambda: embed_modulus(f, 2 ** 64),
+                  lambda: cup3(C2cubed, 0, 1, 2, 2 ** 70),
+                  lambda: cochain_from_json(C2, {
+                      "modulus": 2 ** 64, "degree": 2,
+                      "entries": [[1, 1, 2 ** 70]]})):
+        with pytest.raises(ValueError, match="2147483648"):
+            build()
+    assert Cochain(C2, 2, 2 ** 31 - 1).modulus == 2 ** 31 - 1
+
 def test_alternation_is_shift_invariant(S3, C2xC4):
     """f(g,h) - f(h,g) on commuting pairs survives any coboundary shift.
 

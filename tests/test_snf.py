@@ -3,9 +3,10 @@
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from zcenter.snf import solve_modular_linear
+from zcenter.snf import MAX_MODULUS, solve_modular_linear
 
 
 def brute_solvable(A, b, N):
@@ -91,3 +92,68 @@ def test_planted_solutions_found(N, A, xs):
     b = [sum(a * xi for a, xi in zip(row, x0)) % N for row in A]
     x = solve_modular_linear(A, b, N)
     check_witness(A, b, N, x)
+
+
+def test_non_unit_pivot():
+    # mod 4 the unit 1 must be the pivot: x2 = 1 - 2 x1 solves the first
+    # system, while 2 x1 + 2 x2 is always even in the second
+    x = solve_modular_linear([[2, 1]], [1], 4)
+    check_witness([[2, 1]], [1], 4, x)
+    assert solve_modular_linear([[2, 2]], [1], 4) is None
+
+
+def test_prime_power_moduli_against_brute_force():
+    rng = np.random.default_rng(7)
+    for N in (4, 8, 9, 12, 16, 18, 36):
+        for trial in range(25):
+            rows = int(rng.integers(1, 5))
+            cols = int(rng.integers(1, 4))
+            # non-unit entries are common: multiples of the primes of N
+            A = (rng.integers(0, N, size=(rows, cols))
+                 * rng.choice([1, 2, 3, 4, 6], size=(rows, cols))).tolist()
+            b = rng.integers(0, N, size=rows).tolist()
+            X = np.array(list(itertools.product(range(N), repeat=cols)))
+            hits = ((np.array(A) @ X.T - np.array(b)[:, None]) % N == 0)
+            x = solve_modular_linear(A, b, N)
+            if x is None:
+                assert not hits.all(axis=0).any(), (N, A, b)
+            else:
+                check_witness(A, b, N, x)
+
+
+def _rhs(A, x0, N):
+    """A x0 mod N in exact Python integers."""
+    return [sum(int(a) * int(v) for a, v in zip(row, x0)) % N for row in A]
+
+
+def test_planted_system_near_the_modulus_bound():
+    N = MAX_MODULUS - 1
+    rng = np.random.default_rng(3)
+    A = rng.integers(0, N, size=(60, 40))
+    b = _rhs(A, rng.integers(0, N, size=40), N)
+    x = solve_modular_linear(A, b, N)
+    check_witness(A.tolist(), b, N, x)
+
+
+def test_planted_composite_system_and_inconsistent_copy():
+    N = 72
+    rng = np.random.default_rng(5)
+    # columns scaled by non-units, so pivots have positive valuation
+    A = rng.integers(0, N, size=(200, 40)) * rng.choice(
+        [1, 2, 3, 4, 6, 8, 9, 12], size=40) % N
+    # 100 more rows, each a combination of the first 200
+    A = np.concatenate([A, rng.integers(0, N, size=(100, 200)) @ A % N])
+    b = _rhs(A, rng.integers(0, N, size=40), N)
+    x = solve_modular_linear(A, b, N)
+    check_witness(A.tolist(), b, N, x)
+    # a dependent row with a shifted right-hand side contradicts the rows
+    # it combines, so the perturbed copy has no solution
+    b[250] = (b[250] + 1) % N
+    assert solve_modular_linear(A, b, N) is None
+
+
+def test_modulus_bound():
+    with pytest.raises(ValueError, match=str(MAX_MODULUS)):
+        solve_modular_linear([[1]], [1], MAX_MODULUS)
+    with pytest.raises(ValueError, match="modulus"):
+        solve_modular_linear([[1]], [1], 0)
