@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group_core import FiniteGroup, center
+from .group_core import FiniteGroup, _failure_certificate, center
 from .snf import check_modulus, solve_modular_linear
 
 __all__ = [
@@ -210,21 +210,24 @@ def coboundary(f: Cochain) -> Cochain:
 
 
 def is_cocycle(f: Cochain) -> CohomologyClassVerdict:
-    """Check the cocycle identity one slab at a time; the certificate is
-    the lexicographically first failing tuple."""
+    """Check the cocycle identity on the slabs at the generators.
+
+    delta(delta f) = 0 gives D(ag, ..) = D(g, ..) wherever the slab
+    D(a, ..) of D = delta(f) vanishes, so `_failure_certificate`'s rule
+    applies; the certificate is the lexicographically first failure.
+    """
     if f.degree not in (1, 2, 3):
         raise ValueError("cocycle check needs degree 1, 2, or 3")
     cached = f.__dict__.get("_cocycle_verdict")
     if cached is not None:
         return cached
-    cert = None
     slab = np.empty_like(f.dense)
-    for g in range(f.group.order):
+
+    def delta_at(g):
         _delta_slab(f.dense, f.group.table, g, f.degree, out=slab)
-        slab %= f.modulus
-        if slab.any():
-            cert = (g,) + tuple(int(x) for x in np.argwhere(slab)[0])
-            break
+        return np.remainder(slab, f.modulus, out=slab)
+
+    cert = _failure_certificate(f.group, delta_at)
     verdict = CohomologyClassVerdict(is_cocycle=cert is None,
                                      failure_certificate=cert)
     f.__dict__["_cocycle_verdict"] = verdict

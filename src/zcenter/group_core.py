@@ -45,21 +45,20 @@ __all__ = [
     "parse_group_spec",
 ]
 
-# Above this order a full associativity sweep is replaced by sampling.
+# Homomorphism enumeration bound on the source group's order.
 FULL_CHECK_ORDER = 512
 # Hard memory guard: an order-10000 int32 table is ~400 MB; S8 (40320)
 # would need ~6.5 GB and is rejected outright.
 MAX_TABLE_ORDER = 10000
-
-_ASSOC_SAMPLES = 20000
 
 
 class FiniteGroup:
     """A finite group given by a full multiplication table.
 
     The table is validated on construction: Latin square, two-sided
-    identity, inverses, and associativity (all triples for order <= 512,
-    a fixed-seed sample above that).
+    identity, inverses, and associativity.  Associativity is exact at
+    every order: Light's test checks (gh)k = g(hk) for all h, k at each
+    g of `generating_sequence`, which decides it for every g.
     """
 
     def __init__(self, table, label: str | None = None,
@@ -81,8 +80,8 @@ class FiniteGroup:
         self.label = label if label is not None else f"order{n}"
         self.cyclic_factors = cyclic_factors
         self.relabeling: np.ndarray | None = None  # set by load_group
-        self._validate()
         self._cache: dict[str, object] = {}
+        self._validate()
 
     # -- validation ----------------------------------------------------
 
@@ -90,8 +89,8 @@ class FiniteGroup:
         T = self.table
         n = self.order
         ar = np.arange(n, dtype=np.int32)
-        if not (np.array_equal(np.sort(T, axis=1), np.tile(ar, (n, 1)))
-                and np.array_equal(np.sort(T, axis=0), np.tile(ar[:, None], (1, n)))):
+        if not ((np.sort(T, axis=1) == ar).all()
+                and (np.sort(T, axis=0) == ar[:, None]).all()):
             raise ValueError("table is not a Latin square")
         id_rows = np.nonzero((T == ar).all(axis=1))[0]
         ident = None
@@ -109,19 +108,16 @@ class FiniteGroup:
         if not np.array_equal(T[inv, ar], np.full(n, ident)):
             raise ValueError("table has an element without a two-sided inverse")
         self.inverse = inv
-        if n <= FULL_CHECK_ORDER:
-            for g in range(n):
-                if not np.array_equal(T[T[g]], T[g][T]):
-                    h, k = np.argwhere(T[T[g]] != T[g][T])[0]
-                    raise ValueError(
-                        f"associativity fails at ({g},{h},{k})")
-        else:
-            rng = np.random.default_rng(12345)
-            gs = rng.integers(0, n, _ASSOC_SAMPLES)
-            hs = rng.integers(0, n, _ASSOC_SAMPLES)
-            ks = rng.integers(0, n, _ASSOC_SAMPLES)
-            if not np.array_equal(T[T[gs, hs], ks], T[gs, T[hs, ks]]):
-                raise ValueError("associativity fails (sampled check)")
+        def light(g):
+            # (gh)k against g(hk) over all h, k, in blocks of rows h so
+            # that no temporary is as large as the table
+            Tg = T[g]
+            return np.concatenate([T[Tg[a:a + 256]] != Tg[T[a:a + 256]]
+                                   for a in range(0, n, 256)])
+
+        cert = _failure_certificate(self, light)
+        if cert is not None:
+            raise ValueError("associativity fails at ({},{},{})".format(*cert))
 
     # -- basics --------------------------------------------------------
 
@@ -130,11 +126,6 @@ class FiniteGroup:
 
     def inv(self, g: int) -> int:
         return int(self.inverse[g])
-
-    def conj(self, g: int, h: int) -> int:
-        """h^-1 * g * h."""
-        T = self.table
-        return int(T[T[self.inverse[h], g], h])
 
     def element_orders(self) -> np.ndarray:
         if "orders" not in self._cache:
@@ -201,18 +192,16 @@ class ConjugacyClassData:
 class GroupHom:
     """A verified homomorphism given by its full image array."""
 
-    def __init__(self, source: FiniteGroup, target: FiniteGroup, images,
-                 validate: bool = True):
+    def __init__(self, source: FiniteGroup, target: FiniteGroup, images):
         self.source = source
         self.target = target
         self.images = np.asarray(images, dtype=np.int32)
         if len(self.images) != source.order:
             raise ValueError("images array has wrong length")
-        if validate:
-            if self.images[source.identity] != target.identity:
-                raise ValueError("hom does not preserve the identity")
-            if not _is_hom(source, target, self.images):
-                raise ValueError("images do not define a homomorphism")
+        if self.images[source.identity] != target.identity:
+            raise ValueError("hom does not preserve the identity")
+        if not _is_hom(source, target, self.images):
+            raise ValueError("images do not define a homomorphism")
 
     def __call__(self, g: int) -> int:
         return int(self.images[g])
@@ -226,8 +215,14 @@ class GroupHom:
 
 
 def _is_hom(G: FiniteGroup, H: FiniteGroup, images: np.ndarray) -> bool:
-    lhs = images[G.table]
-    rhs = H.table[images[:, None], images[None, :]]
+    """phi(gs) = phi(g)phi(s) for every g and every generator s.
+
+    The s at which this holds for all g are closed under products, so
+    the generators decide it for the whole group.
+    """
+    gens = generating_sequence(G)
+    lhs = images[G.table[:, gens]]
+    rhs = H.table[images[:, None], images[gens][None, :]]
     return bool(np.array_equal(lhs, rhs))
 
 
@@ -263,15 +258,14 @@ def _perm_group(perms: list[tuple[int, ...]], label: str) -> FiniteGroup:
     m = len(perms[0])
     P = np.array(perms, dtype=np.int64)
     n = len(P)
-    weights = (m + 1) ** np.arange(m, dtype=np.int64)
-    keys = P @ weights
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
+    # a permutation's base-m digits index it directly (m^m <= 7^7 cells)
+    weights = m ** np.arange(m, dtype=np.int64)
+    index = np.zeros(m ** m, dtype=np.int32)
+    index[P @ weights] = np.arange(n, dtype=np.int32)
     table = np.empty((n, n), dtype=np.int32)
     for i in range(n):
-        comp = P[i][P]            # (p_i o p_j)(x) = p_i(p_j(x))
-        ck = comp @ weights
-        table[i] = order[np.searchsorted(sorted_keys, ck)]
+        # (p_i o p_j)(x) = p_i(p_j(x))
+        table[i] = index[P[i][P] @ weights]
     return FiniteGroup(table, label=label)
 
 
@@ -358,32 +352,39 @@ def center(G: FiniteGroup) -> tuple[int, ...]:
     return tuple(int(x) for x in np.nonzero(mask)[0])
 
 
-def _closure(G: FiniteGroup, seed) -> tuple[int, ...]:
-    """Subgroup generated by seed, as a sorted element tuple.
+def _bfs(G: FiniteGroup, gens) -> np.ndarray:
+    """Rows (element, parent, generator position), element = parent*gen.
 
-    Fixpoint of S -> S u S*S; in a finite group that already forces
-    inverses and the identity.
+    Breadth-first from the identity by right multiplication, so the rows
+    reach every product of generators but the identity, parents first.
     """
-    elems = np.unique(np.concatenate(
-        [[G.identity], np.asarray(list(seed), dtype=np.int64).ravel()]
-    ).astype(np.int64))
-    while True:
-        prods = np.unique(G.table[np.ix_(elems, elems)])
-        merged = np.unique(np.concatenate([elems, prods]))
-        if len(merged) == len(elems):
-            return tuple(int(x) for x in merged)
-        elems = merged
+    gens = np.asarray(gens, dtype=np.int64)
+    k = len(gens)
+    seen = np.zeros(G.order, dtype=bool)
+    seen[G.identity] = True
+    frontier = np.array([G.identity])
+    rows = [np.empty((0, 3), dtype=np.int64)]
+    while len(frontier) and k:
+        cand = G.table[np.ix_(frontier, gens)].ravel()
+        first = np.unique(cand, return_index=True)[1]
+        first = np.sort(first[~seen[cand[first]]])
+        parents = frontier[first // k]
+        frontier = cand[first]
+        seen[frontier] = True
+        rows.append(np.column_stack([frontier, parents, first % k]))
+    return np.concatenate(rows)
 
 
 def commutator_subgroup(G: FiniteGroup) -> tuple[int, ...]:
-    """Closure of all g h g^-1 h^-1."""
+    """Subgroup generated by all g h g^-1 h^-1."""
     T = G.table
     inv = G.inverse
     n = G.order
     g = np.arange(n)[:, None]
     h = np.arange(n)[None, :]
-    comm = T[T[T[g, h], inv[g]], inv[h]]
-    return _closure(G, np.unique(comm))
+    comm = np.unique(T[T[T[g, h], inv[g]], inv[h]])
+    elems = np.append(_bfs(G, comm)[:, 0], G.identity)
+    return tuple(int(x) for x in np.sort(elems))
 
 
 def subgroup(G: FiniteGroup, elements) -> tuple[FiniteGroup, np.ndarray]:
@@ -419,14 +420,13 @@ def quotient_group(G: FiniteGroup, normal) -> tuple[FiniteGroup, GroupHom]:
     T = G.table
     inv = G.inverse
     Na = np.array(N, dtype=np.int32)
-    for g in range(G.order):
-        conj = T[T[inv[g], Na], g]
-        outside = ~np.isin(conj, Na)
-        if outside.any():
-            bad = int(Na[np.nonzero(outside)[0][0]])
-            raise ValueError(
-                f"subgroup is not normal: witness pair (g={g}, n={bad}) "
-                f"with g^-1*n*g = {int(T[T[inv[g], bad], g])} outside")
+    cert = _failure_certificate(
+        G, lambda g: ~np.isin(T[T[inv[g], Na], g], Na))
+    if cert is not None:
+        g, bad = cert[0], int(Na[cert[1]])
+        raise ValueError(
+            f"subgroup is not normal: witness pair (g={g}, n={bad}) "
+            f"with g^-1*n*g = {int(T[T[inv[g], bad], g])} outside")
     coset_rep = T[:, Na].min(axis=1)
     reps = np.unique(coset_rep)
     coset_index = np.full(G.order, -1, dtype=np.int32)
@@ -441,40 +441,40 @@ def quotient_group(G: FiniteGroup, normal) -> tuple[FiniteGroup, GroupHom]:
 # -- generating sequences and homomorphisms ----------------------------
 
 def generating_sequence(G: FiniteGroup) -> list[int]:
-    """Greedy minimal generating sequence (scan elements ascending)."""
-    if G.order == 1:
-        return []
-    gens: list[int] = []
-    current = {G.identity}
-    for g in range(G.order):
-        if g in current:
-            continue
-        gens.append(g)
-        current = set(_closure(G, gens))
-        if len(current) == G.order:
-            break
-    return gens
+    """Greedy minimal generating sequence (scan elements ascending).
+
+    Computed once per group and cached; every identity check runs at
+    these elements (see `_failure_certificate`).
+    """
+    if "gens" not in G._cache:
+        gens: list[int] = []
+        reached = np.zeros(G.order, dtype=bool)
+        reached[G.identity] = True
+        for g in range(G.order):
+            if not reached[g]:
+                gens.append(g)
+                reached[_bfs(G, gens)[:, 0]] = True
+        G._cache["gens"] = gens
+    return G._cache["gens"]
 
 
-def _bfs_order(G: FiniteGroup, gens: list[int]):
-    """Spanning construction: each element as parent*generator."""
-    T = G.table
-    seen = {G.identity}
-    steps = []  # (element, parent, gen_position)
-    frontier = [G.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for gi, s in enumerate(gens):
-                y = int(T[x, s])
-                if y not in seen:
-                    seen.add(y)
-                    steps.append((y, x, gi))
-                    nxt.append(y)
-        frontier = nxt
-    if len(seen) != G.order:
-        raise ValueError("generating sequence does not generate the group")
-    return steps
+def _failure_certificate(G: FiniteGroup, slab) -> tuple | None:
+    """The lexicographically first failure of an identity on G, or None.
+
+    `slab(g)` is an array that is nonzero exactly where the identity
+    fails on the tuples starting at g.  For an identity whose good g
+    (zero slab) include e and are closed under products, as for
+    associativity (Light's test; Clifford & Preston, Algebraic Theory of
+    Semigroups I, 1961) and the cocycle identity, the generators decide
+    it.  They also give the first failure: if m is the least bad g, the
+    greedy scan's generators below m are good, so all they generate is
+    good and the scan takes m itself, after no failing generator.
+    """
+    for s in generating_sequence(G):
+        bad = slab(s)
+        if bad.any():
+            return (s,) + tuple(int(x) for x in np.argwhere(bad)[0])
+    return None
 
 
 def enumerate_homomorphisms(G: FiniteGroup, H: FiniteGroup) -> list[GroupHom]:
@@ -482,7 +482,7 @@ def enumerate_homomorphisms(G: FiniteGroup, H: FiniteGroup) -> list[GroupHom]:
 
     Backtracks over images of a greedy generating sequence, pruned by
     element-order divisibility on generators and their pairwise
-    products; every candidate is verified against the full table.
+    products; every candidate is verified exactly (`_is_hom`).
     """
     if G.order > FULL_CHECK_ORDER:
         raise ValueError(
@@ -492,13 +492,9 @@ def enumerate_homomorphisms(G: FiniteGroup, H: FiniteGroup) -> list[GroupHom]:
         raise ValueError(
             f"greedy generating sequence has length {len(gens)} > 5; "
             "enumeration declined")
-    if not gens:
-        images = np.full(1, H.identity, dtype=np.int32)
-        return [GroupHom(G, H, images, validate=False)]
-
     ordG = G.element_orders()
     ordH = H.element_orders()
-    steps = _bfs_order(G, gens)
+    steps = _bfs(G, gens).tolist()
     TG, TH = G.table, H.table
     k = len(gens)
     cand = [np.nonzero(ordG[g] % ordH == 0)[0].astype(np.int32) for g in gens]
@@ -519,7 +515,7 @@ def enumerate_homomorphisms(G: FiniteGroup, H: FiniteGroup) -> list[GroupHom]:
             for (y, x, gi) in steps:
                 phi[y] = TH[phi[x], choice[gi]]
             if _is_hom(G, H, phi):
-                out.append(GroupHom(G, H, phi.copy(), validate=False))
+                out.append(GroupHom(G, H, phi.copy()))
             return
         for h in cand[level]:
             ok = True

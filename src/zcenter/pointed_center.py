@@ -177,11 +177,10 @@ def count_simple_central_objects(C: PointedCategory) -> int:
                for i in range(cc.count))
 
 
-def _e_pages(C: PointedCategory) -> dict:
+def _e_pages(C: PointedCategory, kernel: tuple) -> dict:
     G = C.group
     cc = conjugacy_classes(G)
     n = G.order
-    kernel = kernel_of_characteristic(C)
     order = 1
     for d in kernel:
         order *= d
@@ -209,12 +208,13 @@ def _e_pages(C: PointedCategory) -> dict:
 def e_page_report(C: PointedCategory) -> CenterReport:
     """Page terms, per-class obstructions, kernel; no lift table."""
     cc = conjugacy_classes(C.group)
+    kernel = kernel_of_characteristic(C)
     return CenterReport(
         group_label=C.group.label or "?",
         modulus=C.modulus,
-        e_pages=_e_pages(C),
+        e_pages=_e_pages(C, kernel),
         obstructions=[obstruction(C, i) for i in range(cc.count)],
-        kernel_invariant_factors=kernel_of_characteristic(C))
+        kernel_invariant_factors=kernel)
 
 
 def center_report(C: PointedCategory, specs=None) -> CenterReport:

@@ -12,7 +12,7 @@ from zcenter.cohomology import (Cochain, CocycleError, coboundary, cochain_from_
                                 is_coboundary, is_cocycle, load_cocycle,
                                 _delta_dense)
 from zcenter.group_core import (direct_product, make_cyclic, make_symmetric,
-                                centralizer, subgroup)
+                                centralizer, parse_group_spec, subgroup)
 
 from conftest import (bilinear_cochain, pullback, random_cochain,
                       shifted, sign_cocycle)
@@ -180,7 +180,18 @@ def _first_failure(f, delta_at):
     return None
 
 
-def test_non_cocycle_certificates(C4, S3):
+def _delta_at(f, args):
+    """delta(f)(args) from the face formula, one tuple at a time."""
+    T = f.group.table
+    k = f.degree
+    total = f(*args[1:]) + (-1) ** (k + 1) * f(*args[:k])
+    for i in range(k):
+        merged = args[:i] + (int(T[args[i], args[i + 1]]),) + args[i + 2:]
+        total += (-1) ** (i + 1) * f(*merged)
+    return total
+
+
+def test_non_cocycle_certificates(C4, S3, S4):
     T = S3.table
     f1 = Cochain(C4, 1, 5, values={1: 1})
     v1 = is_cocycle(f1)
@@ -216,6 +227,44 @@ def test_non_cocycle_certificates(C4, S3):
         w, lambda g, h, k, l: (w(h, k, l) - w(T[g, h], k, l)
                                + w(g, T[h, k], l) - w(g, h, T[k, l])
                                + w(g, h, k)))
+
+    # coboundaries pass; with one or two entries changed they fail, and
+    # the certificate is still the brute-force sweep's first failure
+    rng = np.random.default_rng(31)
+    C4xC2 = direct_product(make_cyclic(4), make_cyclic(2))
+    for G in (S3, S4, C4xC2):
+        for degree in (1, 2, 3):
+            N = int(rng.choice([2, 3, 6]))
+            for _ in range(3):
+                if degree == 1:
+                    base = Cochain.zero(G, 1, N)
+                else:
+                    base = coboundary(random_cochain(G, degree - 1, N, rng))
+                assert is_cocycle(base).is_cocycle
+                dense = base.dense.copy()
+                for _ in range(int(rng.integers(1, 3))):
+                    idx = tuple(rng.integers(1, G.order, degree))
+                    dense[idx] += int(rng.integers(1, N))
+                f = Cochain(G, degree, N, dense=dense)
+                expected = _first_failure(f, lambda *a: _delta_at(f, a))
+                v = is_cocycle(f)
+                assert v.is_cocycle == (expected is None)
+                assert v.failure_certificate == expected
+
+    # first failures past g = 1: pulled back along C4xC2 -> C4, a
+    # non-cocycle's slab at (0, 1) = 1 vanishes and it first fails at 2;
+    # x2*x3 on C2^4 first fails at 4, and at the later generator 8 too
+    C4xC2_to_C4 = np.arange(8) // 2
+    C2_4 = parse_group_spec("C2xC2xC2xC2")
+    bits = np.arange(16)
+    cases = [(pullback(Cochain(C4, d, 5, values={(1,) * d: 1}), C4xC2,
+                       C4xC2_to_C4), 2) for d in (1, 2, 3)]
+    cases.append((Cochain(C2_4, 1, 2, dense=(bits >> 2) & (bits >> 3) & 1),
+                  4))
+    for f, first in cases:
+        cert = is_cocycle(f).failure_certificate
+        assert cert[0] == first
+        assert cert == _first_failure(f, lambda *a: _delta_at(f, a))
 
 
 def test_cocycle_verdict_cached(C4):

@@ -13,7 +13,7 @@ from zcenter.group_core import (FiniteGroup, GroupHom, abelian_invariants,
                                 group_from_json, load_group, make_alternating,
                                 make_cyclic, make_symmetric, make_trivial,
                                 parse_group_spec, quotient_group, rep_classes,
-                                subgroup)
+                                subgroup, _is_hom)
 
 from oracles import brute_force_hom_images
 
@@ -114,6 +114,45 @@ def test_rejects_non_associative_loop():
     assert T is not None
     with pytest.raises(ValueError, match="associativity"):
         FiniteGroup(T)
+    # on L x C2 the first generator 1 = (e, 1) associates with everything
+    # and the next one does not; the refusal names the first failing
+    # triple of a brute-force sweep
+    T = (np.repeat(np.repeat(np.array(T), 2, axis=0), 2, axis=1) * 2
+         + np.tile([[0, 1], [1, 0]], (5, 5)))
+    g, h, k = next(t for t in itertools.product(range(10), repeat=3)
+                   if T[T[t[0], t[1]], t[2]] != T[t[0], T[t[1], t[2]]])
+    assert g > 1
+    with pytest.raises(ValueError,
+                       match=rf"associativity fails at \({g},{h},{k}\)$"):
+        FiniteGroup(T)
+
+
+def test_rejects_intercalate_swapped_s6():
+    """Rows a and a*t of S6 swapped on columns c and d, with t = c*d^-1
+    an involution, give a Latin square with identity and inverses that is
+    not associative.  A 20,000-triple sample accepts most such tables;
+    the exact check refuses every one, and its certificate is a failing
+    triple."""
+    S6 = make_symmetric(6)
+    T, inv, e = S6.table, S6.inverse, S6.identity
+    involutions = [t for t in range(S6.order) if t != e and T[t, t] == e]
+    rng = np.random.default_rng(720)
+    refused = 0
+    while refused < 20:
+        a, c = (int(x) for x in rng.integers(0, S6.order, 2))
+        t = int(rng.choice(involutions))
+        d, at = int(T[t, c]), int(T[a, t])  # t = c*d^-1, so d = t*c
+        if e in (a, at, c, d, T[a, c], T[a, d]):
+            continue  # keep the identity's row, column and inverses
+        bad = T.copy()
+        rows, cols = [a, a, at, at], [c, d, c, d]
+        bad[rows, cols] = T[rows, [d, c, d, c]]
+        with pytest.raises(ValueError, match="associativity fails at") as err:
+            FiniteGroup(bad)
+        g, h, k = (int(x) for x in
+                   str(err.value).rsplit("(", 1)[1].rstrip(")").split(","))
+        assert bad[bad[g, h], k] != bad[g, bad[h, k]]
+        refused += 1
 
 
 def test_large_symmetric_groups_fail_fast():
@@ -289,11 +328,26 @@ def test_quotient_d4_by_center(D4):
     assert Q.order == 4 and Q.exponent() == 2
 
 
-def test_quotient_rejects_non_normal(S3):
+def test_quotient_rejects_non_normal(S3, S4):
+    """Each cyclic subgroup that is not normal is refused, naming the
+    first witness pair (g, n) in ascending order."""
     orders = S3.element_orders()
     t = int(np.nonzero(orders == 2)[0][0])
     with pytest.raises(ValueError):
         quotient_group(S3, [S3.identity, t])
+    for G in (S3, S4):
+        T, inv = G.table, G.inverse
+        for x in range(1, G.order):
+            elems = sorted({G.power(x, k) for k in range(G.order)})
+            witnesses = [(g, n) for g in range(G.order) for n in elems
+                         if T[T[inv[g], n], g] not in elems]
+            if not witnesses:
+                assert quotient_group(G, elems)[0].order * len(elems) == G.order
+                continue
+            g, n = witnesses[0]
+            with pytest.raises(ValueError,
+                               match=rf"not normal: witness pair \(g={g}, n={n}\)"):
+                quotient_group(G, elems)
 
 
 def test_quotient_degenerate(S3):
@@ -337,6 +391,43 @@ def test_hom_validation(S3, C2):
         GroupHom(S3, C2, [0, 1, 1, 1, 1, 0])  # not multiplicative
     a = GroupHom(C2, C2, [0, 1])
     assert a(1) == 1 and a(0) == 0
+
+
+def test_hom_check_matches_definition(S3, S4, C2xC4, D4):
+    """The check at the generators agrees with phi(gh) = phi(g)phi(h) on
+    all n^2 pairs, on homomorphisms, one-entry changes of them and
+    random image arrays."""
+    rng = np.random.default_rng(5)
+    for G, H in ((S3, C2xC4), (S4, S3), (C2xC4, D4), (D4, S4), (S4, S4)):
+        homs = [h.images for h in enumerate_homomorphisms(G, H)]
+        arrays = []
+        for phi in homs[:10]:
+            arrays.append(phi)
+            changed = phi.copy()
+            x = int(rng.integers(1, G.order))
+            changed[x] = (changed[x] + int(rng.integers(1, H.order))) % H.order
+            arrays.append(changed)
+        for _ in range(20):
+            phi = rng.integers(0, H.order, G.order).astype(np.int32)
+            phi[G.identity] = H.identity
+            arrays.append(phi)
+        # multiplicative at the first generator s only: phi(r s^i) =
+        # phi(r) h^i from random phi(r) on coset representatives r
+        s, = generating_sequence(G)[:1]
+        for h in np.nonzero(G.element_orders()[s] % H.element_orders() == 0)[0]:
+            phi = np.full(G.order, -1, dtype=np.int32)
+            for r in range(G.order):
+                x, y = r, (int(rng.integers(0, H.order)) if r else H.identity)
+                while phi[x] < 0:
+                    phi[x], x, y = y, G.mul(x, s), H.mul(y, int(h))
+            arrays.append(phi)
+        verdicts = set()
+        for phi in arrays:
+            definition = np.array_equal(
+                phi[G.table], H.table[phi[:, None], phi[None, :]])
+            assert _is_hom(G, H, phi) == definition
+            verdicts.add(definition)
+        assert verdicts == {True, False}
 
 
 def test_hom_counts(S3, C2, C6, C2xC2, D4, Q8):
