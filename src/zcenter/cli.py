@@ -22,8 +22,8 @@ import sys
 from math import lcm
 
 from .bands import band_center_families, conjugacy_types
-from .cohomology import (CocycleError, Cochain, cup3, is_cocycle,
-                         is_coboundary, load_cocycle)
+from .cohomology import (CocycleError, Cochain, cochain_to_json, cup3,
+                         is_cocycle, is_coboundary, load_cocycle)
 from .group_core import FiniteGroup, center, conjugacy_classes, parse_group_spec
 from .pointed_center import (CentralObjectSpec, PointedCategory, center_report,
                              count_simple_central_objects, lift_count,
@@ -144,12 +144,14 @@ def _emit(args, payload: dict, text_lines) -> int:
 def _cmd_group_info(args) -> int:
     G = _load_group(args.group)
     cc = conjugacy_classes(G)
+    abelian = G.is_abelian()
+    center_order = len(center(G))
     payload = {
         "label": G.label,
         "order": G.order,
         "exponent": G.exponent(),
-        "abelian": G.is_abelian(),
-        "center_order": len(center(G)),
+        "abelian": abelian,
+        "center_order": center_order,
         "classes": [{"index": i,
                      "representative": int(cc.representatives[i]),
                      "size": int(cc.class_sizes[i])}
@@ -160,10 +162,10 @@ def _cmd_group_info(args) -> int:
         f"group: {G.label}",
         f"order: {G.order}",
         f"exponent: {G.exponent()}",
-        f"abelian: {'yes' if G.is_abelian() else 'no'}",
+        f"abelian: {'yes' if abelian else 'no'}",
         f"conjugacy classes: {cc.count}",
         "class sizes: " + " ".join(str(int(s)) for s in cc.class_sizes),
-        f"center order: {len(center(G))}",
+        f"center order: {center_order}",
     ]
     if G.relabeling is not None:
         lines.append("note: input table was relabeled so that the identity "
@@ -203,8 +205,7 @@ def _cmd_cohomology(args) -> int:
         payload["is_coboundary"] = cb.is_coboundary
         lines.append(f"coboundary: {'yes' if cb.is_coboundary else 'no'}")
         if cb.is_coboundary:
-            entries = sorted([list(k) + [v]
-                              for k, v in cb.witness.values.items()])
+            entries = cochain_to_json(cb.witness)["entries"]
             payload["witness_entries"] = entries
             lines.append(f"witness entries: {len(entries)} nonzero")
     return _emit(args, payload, lines)

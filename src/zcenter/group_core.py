@@ -573,71 +573,32 @@ def _prime_factors(n: int) -> list[int]:
 def abelian_invariants(G: FiniteGroup) -> list[int]:
     """Invariant factors d_1 | d_2 | ... of an abelian group.
 
-    Recovered from element-order statistics: for each prime p the
-    partition of the p-part is the conjugate of k -> log_p #{x : x^(p^k)=e}.
+    Recovered from element orders: for each prime p the partition of the
+    p-part is the conjugate of k -> log_p #{x : ord(x) divides p^k}.
     """
     if not G.is_abelian():
         raise ValueError("abelian_invariants needs an abelian group")
-    n = G.order
-    if n == 1:
-        return []
-    parts_by_prime = {}
-    for p in _prime_factors(n):
-        pmap = _power_map(G, p)
-        cur = np.arange(n, dtype=np.int32)
-        logs = [0]
-        while True:
-            cur = pmap[cur]
-            cnt = int((cur == G.identity).sum())
-            e = 0  # cnt is exactly a power of p
-            c = cnt
-            while c > 1:
-                c //= p
-                e += 1
-            logs.append(e)
-            if cnt == _p_part(n, p):
-                break
+    orders = G.element_orders()
+    factors: list[int] = []  # largest first
+    for p in _prime_factors(G.order):
         # logs[k] = sum_i min(lambda_i, k); its increments give the
-        # conjugate partition, so transpose back.
-        conj = [logs[i] - logs[i - 1] for i in range(1, len(logs))]
-        parts = []
-        for idx in range(conj[0]):
-            parts.append(sum(1 for c in conj if c > idx))
-        parts.sort(reverse=True)
-        parts_by_prime[p] = parts
-    r = max(len(v) for v in parts_by_prime.values())
-    factors = []
-    for i in range(r):
-        d = 1
-        for p, parts in parts_by_prime.items():
-            if i < len(parts):
-                d *= p ** parts[i]
-        factors.append(d)
-    factors = [d for d in factors if d > 1]
+        # conjugate partition, so transpose back
+        logs = [0]
+        while len(logs) == 1 or logs[-1] > logs[-2]:
+            cnt = int((p ** len(logs) % orders == 0).sum())
+            logs.append(next(e for e in range(cnt.bit_length())
+                             if p ** e == cnt))
+        conj = [b - a for a, b in zip(logs, logs[1:])]
+        for i in range(conj[0]):
+            if i == len(factors):
+                factors.append(1)
+            factors[i] *= p ** sum(1 for c in conj if c > i)
     return sorted(factors)  # ascending divisibility chain
-
-
-def _p_part(n: int, p: int) -> int:
-    out = 1
-    while n % p == 0:
-        out *= p
-        n //= p
-    return out
-
-
-def _power_map(G: FiniteGroup, p: int) -> np.ndarray:
-    """Array g -> g**p."""
-    cur = np.full(G.order, G.identity, dtype=np.int32)
-    ar = np.arange(G.order)
-    for _ in range(p):
-        cur = G.table[cur, ar]
-    return cur
 
 
 # -- file format and CLI group specs -----------------------------------
 
-def group_from_json(data: dict, label: str | None = None
-                    ) -> tuple[FiniteGroup, np.ndarray | None]:
+def group_from_json(data: dict) -> tuple[FiniteGroup, np.ndarray | None]:
     """Build a group from {"order", "table", "label"} JSON data.
 
     The identity is normalized to index 0; when the input had it
@@ -655,7 +616,7 @@ def group_from_json(data: dict, label: str | None = None
         raise ValueError(f"bad group order {n!r}")
     if len(table) != n or any(len(row) != n for row in table):
         raise ValueError("group table shape does not match its order")
-    lbl = label or data.get("label") or f"file-order{n}"
+    lbl = data.get("label") or f"file-order{n}"
     G = FiniteGroup(table, label=lbl)
     if G.identity == 0:
         return G, None

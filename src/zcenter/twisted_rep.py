@@ -3,14 +3,15 @@
 The algebra K^gamma(G) has basis u_g with u_g u_h = zeta^{gamma(g,h)} u_{gh}
 for a 2-cocycle gamma mod N.  Everything downstream needs only the
 Wedderburn data: how many irreducibles there are and their dimensions.
-Two exact routes are implemented:
+`irrep_profile` computes it once per algebra, by one of two exact routes
+chosen by whether G is abelian (the tests cross-check the two):
 
   * abelian fast path: the regular elements form a subgroup R and all
     irreducibles share dimension sqrt(|G|/|R|), with |R| of them;
   * central extension: degrees of the extension Z/N x_gamma G are found
     by the class-algebra eigenvector method over a prime field, keeping
     the characters where the central Z/N acts by the standard faithful
-    character.
+    character.  Ordinary character degrees are the case N = 1.
 
 No floating point anywhere; eigenvalue work happens in F_p with
 p = 1 mod exponent and p > 2 sqrt(order), which pins degrees uniquely.
@@ -57,7 +58,7 @@ class TwistedGroupAlgebra:
         self.group = group
         self.cocycle = cocycle
         self.modulus = cocycle.modulus
-        self._profile_cache = {}
+        self._profile = None
 
     def structure_constant(self, g: int, h: int):
         """(gh, exponent) with u_g u_h = zeta^exponent u_{gh}."""
@@ -71,7 +72,6 @@ class TwistedGroupAlgebra:
 @dataclass(frozen=True)
 class IrrepProfile:
     dimensions: tuple
-    regular_class_count: int
     method: str
 
     def count_of_dim(self, m: int) -> int:
@@ -110,27 +110,21 @@ def count_reps_of_dim(T: TwistedGroupAlgebra, m: int) -> int:
 
 # -- abelian fast path -------------------------------------------------
 
-def _abelian_profile(T: TwistedGroupAlgebra):
+def _abelian_profile(T: TwistedGroupAlgebra) -> IrrepProfile:
     """All irreducibles of K^gamma(G), G abelian, share one dimension.
 
-    Returns None when |G| / |regular subgroup| is not a perfect square,
-    which signals corrupt input; the caller then falls back to the
-    extension path, which recomputes from scratch.
+    The regular elements form a subgroup R of square index d^2, and the
+    algebra has |R| irreducibles, each of dimension d (Karpilovsky,
+    Projective Representations of Finite Groups, 1985).
     """
     G = T.group
     R = np.nonzero(_regular_element_mask(T))[0]
-    prods = G.table[np.ix_(R, R)]
-    if not np.isin(prods, R).all():
-        return None
-    if G.order % len(R):
-        return None
-    q = G.order // len(R)
-    d = math.isqrt(q)
-    if d * d != q:
-        return None
-    return IrrepProfile(dimensions=(d,) * len(R),
-                        regular_class_count=len(R),
-                        method="abelian-fast-path")
+    d = math.isqrt(G.order // len(R))
+    if not (np.isin(G.table[np.ix_(R, R)], R).all()
+            and d * d * len(R) == G.order):
+        raise AssertionError(
+            "regular elements do not form a subgroup of square index")
+    return IrrepProfile(dimensions=(d,) * len(R), method="abelian-fast-path")
 
 
 # -- prime-field helpers ----------------------------------------------
@@ -335,23 +329,36 @@ def _degree_of_vector(G: FiniteGroup, v: np.ndarray, p: int) -> int:
     return hits[0]
 
 
+def _dixon_degrees(G: FiniteGroup, c: int, N: int) -> list:
+    """Degrees, ascending, of the irreducible characters of G on which
+    the central element c of order N acts by zeta_N (N = 1: all)."""
+    if G.is_abelian():
+        # each character of <c> extends in |G| / N ways
+        degrees = [1] * (G.order // N)
+    else:
+        p = _dixon_prime(G.exponent(), G.order)
+        zp = pow(_primitive_root(p), (p - 1) // N, p)
+        cc = conjugacy_classes(G)
+        jc = int(cc.class_of[c])
+        if cc.class_sizes[jc] != 1:
+            raise AssertionError("central element not in a singleton class")
+        degrees = sorted(_degree_of_vector(G, v, p)
+                         for v in _character_vectors(G, p) if int(v[jc]) == zp)
+    if N * sum(d * d for d in degrees) != G.order:
+        raise AssertionError("degree squares do not sum to |G| / N")
+    return degrees
+
+
 def ordinary_character_degrees(G: FiniteGroup) -> list:
     """Ordinary irreducible character degrees, ascending, exactly."""
-    if G.is_abelian():
-        return [1] * G.order
-    p = _dixon_prime(G.exponent(), G.order)
-    vectors = _character_vectors(G, p)
-    degrees = sorted(_degree_of_vector(G, v, p) for v in vectors)
-    if sum(d * d for d in degrees) != G.order:
-        raise AssertionError("degree squares do not sum to the group order")
-    return degrees
+    return _dixon_degrees(G, G.identity, 1)
 
 
 def central_extension(G: FiniteGroup, gamma: Cochain):
     """Z/N x_gamma G with (a,g)(b,h) = (a+b+gamma(g,h), gh).
 
     Element (a, g) is encoded as a*|G| + g; returns (extension, index
-    of the central generator (1, e)).
+    of the central generator (1 mod N, e)).
     """
     N = gamma.modulus
     n = G.order
@@ -364,72 +371,31 @@ def central_extension(G: FiniteGroup, gamma: Cochain):
     lift = (a[:, None] + a[None, :] + gamma.dense[np.ix_(g, g)]) % N
     table = lift * n + G.table[np.ix_(g, g)]
     label = f"Z{N}x({G.label})" if G.label else None
-    return FiniteGroup(table, label=label), n
+    return FiniteGroup(table, label=label), (1 % N) * n + G.identity
 
 
 def _extension_profile(T: TwistedGroupAlgebra) -> IrrepProfile:
     G = T.group
-    N = T.modulus
-    if T.cocycle.is_zero():
-        dims = tuple(ordinary_character_degrees(G))
-        return IrrepProfile(dimensions=dims,
-                            regular_class_count=len(dims),
-                            method="central-extension")
     # zeta_N^gamma = zeta_N'^gamma' with N' = N / gcd(N, gamma's values),
     # so the smaller extension Z/N' x_gamma' G gives the same algebra
-    d = math.gcd(N, int(np.gcd.reduce(T.cocycle.dense, axis=None)))
-    N = N // d
+    d = math.gcd(T.modulus, int(np.gcd.reduce(T.cocycle.dense, axis=None)))
+    N = T.modulus // d
     Gt, c = central_extension(
         G, Cochain(G, 2, N, dense=T.cocycle.dense // d))
-    if Gt.is_abelian():
-        # every character of the central Z/N extends in |G| ways
-        return IrrepProfile(dimensions=(1,) * G.order,
-                            regular_class_count=G.order,
-                            method="central-extension")
-    p = _dixon_prime(Gt.exponent(), Gt.order)
-    zp = pow(_primitive_root(p), (p - 1) // N, p)
-    cc = conjugacy_classes(Gt)
-    jc = int(cc.class_of[c])
-    if cc.class_sizes[jc] != 1:
-        raise AssertionError("central generator not in a singleton class")
-    dims = []
-    for v in _character_vectors(Gt, p):
-        if int(v[jc]) == zp:
-            dims.append(_degree_of_vector(Gt, v, p))
-    return IrrepProfile(dimensions=tuple(sorted(dims)),
-                        regular_class_count=len(dims),
-                        method="central-extension")
-
-
-def irrep_profile(T: TwistedGroupAlgebra,
-                  method: str = "auto") -> IrrepProfile:
-    """Wedderburn dimension profile of K^gamma(G).
-
-    method: "auto" picks the abelian fast path when it applies and the
-    central-extension path otherwise; either name forces that path.
-    """
-    if method not in ("auto", "abelian-fast-path", "central-extension"):
-        raise ValueError(f"unknown method {method!r}")
-    cached = T._profile_cache.get(method)
-    if cached is not None:
-        return cached
-    profile = None
-    if method == "abelian-fast-path":
-        if not T.group.is_abelian():
-            raise ValueError("abelian fast path needs an abelian group")
-        profile = _abelian_profile(T)
-        if profile is None:
-            raise ValueError("fast path failed (non-square index)")
-    elif method == "auto" and T.group.is_abelian():
-        profile = _abelian_profile(T)
-    if profile is None:
-        profile = _extension_profile(T)
-    if sum(d * d for d in profile.dimensions) != T.group.order:
-        raise AssertionError(
-            "irreducible dimension squares do not sum to |G|; "
-            "profile computation is inconsistent")
-    if len(profile.dimensions) != len(regular_classes(T)):
+    dims = tuple(_dixon_degrees(Gt, c, N))
+    if len(dims) != len(regular_classes(T)):
         raise AssertionError(
             "irreducible count disagrees with the regular class count")
-    T._profile_cache[method] = profile
-    return profile
+    return IrrepProfile(dimensions=dims, method="central-extension")
+
+
+def irrep_profile(T: TwistedGroupAlgebra) -> IrrepProfile:
+    """Wedderburn dimension profile of K^gamma(G), computed once.
+
+    The abelian fast path serves abelian G, the central extension all
+    other groups.
+    """
+    if T._profile is None:
+        T._profile = (_abelian_profile(T) if T.group.is_abelian()
+                      else _extension_profile(T))
+    return T._profile

@@ -477,6 +477,9 @@ def test_abelian_invariants_values(C6, C2xC4, C2cubed, S3):
         direct_product(make_cyclic(2), make_cyclic(3))) == [6]
     assert abelian_invariants(
         direct_product(make_cyclic(4), make_cyclic(6))) == [2, 12]
+    for spec, factors in (("C4xC6xC9", [6, 36]), ("C2xC8xC4", [2, 4, 8]),
+                          ("C12xC18", [6, 36]), ("C2xC3xC4xC5", [2, 60])):
+        assert abelian_invariants(parse_group_spec(spec)) == factors
     with pytest.raises(ValueError):
         abelian_invariants(S3)
 

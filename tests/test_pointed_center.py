@@ -2,11 +2,12 @@
 kernel of the characteristic map, simple object counts."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from zcenter import cohomology, snf
+from zcenter import cohomology, group_core, snf
 from zcenter.cohomology import (Cochain, CocycleError, coboundary, cup3,
                                 embed_modulus, gamma, is_coboundary)
 from zcenter.group_core import (center, centralizer, conjugacy_classes,
@@ -176,6 +177,26 @@ def test_report_verifies_omega_once_and_never_solves(monkeypatch):
     assert len(slabs) == len(generating_sequence(G)) == 4
     assert len(report.obstructions) == 16
     assert sum(o.vanishes for o in report.obstructions) == 2
+
+
+def test_abelian_report_computes_classes_of_one_group(monkeypatch):
+    """On an abelian group every profile takes the fast path, which needs
+    no conjugacy classes of the 32 centralizers."""
+    G = parse_group_spec("C2xC2xC2xC2xC2")
+    seen = set()
+    real = group_core.conjugacy_classes
+
+    def recording(H):
+        seen.add(id(H))
+        return real(H)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("zcenter") and \
+                getattr(mod, "conjugacy_classes", None) is real:
+            monkeypatch.setattr(mod, "conjugacy_classes", recording)
+    report = center_report(cat(G, cup3(G, 0, 1, 2, 2)))
+    assert report.simple_central_objects > 0
+    assert seen == {id(G)}
 
 
 # -- lift counts -------------------------------------------------------

@@ -12,7 +12,8 @@ from zcenter.group_core import (direct_product, make_cyclic, make_symmetric,
 from zcenter.twisted_rep import (IrrepProfile, TwistedGroupAlgebra,
                                  central_extension, count_reps_of_dim,
                                  irrep_profile, ordinary_character_degrees,
-                                 regular_classes, _dixon_prime)
+                                 regular_classes, _abelian_profile,
+                                 _dixon_prime, _extension_profile)
 
 from conftest import bilinear_cochain, pullback, random_cochain
 
@@ -97,14 +98,14 @@ def test_heisenberg_profile(C2cubed, C3cubed):
         T = algebra(G, {(1, 2): 1}, n)
         prof = irrep_profile(T)
         assert prof.dimensions == (n,) * n
-        assert prof.regular_class_count == n
+        assert len(regular_classes(T)) == n
         assert prof.method == "abelian-fast-path"
 
 
 def test_untwisted_profile_is_characters(C2xC4):
-    prof = irrep_profile(untwisted(C2xC4, 4))
-    assert prof.dimensions == (1,) * 8
-    assert prof.regular_class_count == 8
+    T = untwisted(C2xC4, 4)
+    assert irrep_profile(T).dimensions == (1,) * 8
+    assert len(regular_classes(T)) == 8
 
 
 # -- both paths agree --------------------------------------------------
@@ -129,25 +130,25 @@ def test_paths_agree(label, factors, N):
         coeffs = {(i, j): int(rng.integers(0, N))
                   for i in range(k) for j in range(k)}
         T = algebra(G, coeffs, N)
-        fast = irrep_profile(T, method="abelian-fast-path")
-        slow = irrep_profile(T, method="central-extension")
+        fast = _abelian_profile(T)
+        slow = _extension_profile(T)
         assert fast.dimensions == slow.dimensions
-        assert fast.regular_class_count == slow.regular_class_count
+        assert len(fast.dimensions) == len(regular_classes(T))
         assert fast.method == "abelian-fast-path"
         assert slow.method == "central-extension"
-
-
-def test_method_validation(S3, C4):
-    with pytest.raises(ValueError, match="unknown method"):
-        irrep_profile(untwisted(C4), method="dixon")
-    with pytest.raises(ValueError, match="abelian"):
-        irrep_profile(untwisted(S3), method="abelian-fast-path")
 
 
 def test_auto_uses_extension_for_nonabelian(S3):
     prof = irrep_profile(untwisted(S3))
     assert prof.method == "central-extension"
     assert prof.dimensions == (1, 1, 2)
+
+
+def test_zero_cocycle_extension_is_ordinary(S3, S4, A4, D4, Q8):
+    # zero gamma reduces to N' = 1: the extension is a copy of G
+    for G in (S3, S4, A4, D4, Q8):
+        prof = _extension_profile(untwisted(G, 4))
+        assert prof.dimensions == tuple(ordinary_character_degrees(G))
 
 
 def test_extension_size_guard():
@@ -157,15 +158,15 @@ def test_extension_size_guard():
     phi = Cochain(G, 1, 70, values={1: 1})
     T = TwistedGroupAlgebra(G, coboundary(phi))
     # the fast path handles it
-    prof = irrep_profile(T, method="abelian-fast-path")
+    prof = irrep_profile(T)
+    assert prof.method == "abelian-fast-path"
     assert sum(d * d for d in prof.dimensions) == 60
     with pytest.raises(ValueError, match="4096"):
-        irrep_profile(T, method="central-extension")
+        _extension_profile(T)
     # the bilinear gamma mod 70 takes only multiples of 7: its extension
     # is built over Z/10 (order 600), and both paths agree on it
     T = algebra(G, {(0, 0): 1}, 70)
-    assert irrep_profile(T, method="central-extension").dimensions == \
-        irrep_profile(T, method="abelian-fast-path").dimensions
+    assert _extension_profile(T).dimensions == _abelian_profile(T).dimensions
 
 
 def test_profile_cached(C2cubed):
@@ -208,6 +209,13 @@ def test_extension_of_c2_by_z4_cocycle(C2):
     assert Gt0.exponent() == 2
 
 
+def test_central_extension_modulus_one(S3):
+    # (1 mod 1, e) is the identity, not the out-of-range index |G|
+    Gt, c = central_extension(S3, Cochain.zero(S3, 2, 1))
+    assert Gt.order == 6
+    assert c == Gt.identity == 0
+
+
 def test_dixon_prime_choices():
     assert _dixon_prime(12, 24) == 13
     assert _dixon_prime(60, 120) == 61
@@ -234,8 +242,7 @@ def test_count_of_dim_matches_brute(C2cubed, S3):
     cases = [
         irrep_profile(algebra(C2cubed, {(1, 2): 1}, 2)),
         irrep_profile(untwisted(S3)),
-        IrrepProfile(dimensions=(1, 1, 2, 3), regular_class_count=4,
-                     method="central-extension"),
+        IrrepProfile(dimensions=(1, 1, 2, 3), method="central-extension"),
     ]
     for prof in cases:
         for m in range(8):
@@ -260,7 +267,7 @@ def test_nonabelian_twisted_algebra(D4):
     T = TwistedGroupAlgebra(D4, w)
     prof = irrep_profile(T)
     assert sum(d * d for d in prof.dimensions) == 8
-    assert len(prof.dimensions) == prof.regular_class_count
+    assert len(prof.dimensions) == len(regular_classes(T))
     assert prof.method == "central-extension"
 
 
