@@ -53,7 +53,6 @@ from .twisted_rep import (  # noqa: F401
     irrep_profile,
     regular_classes,
     count_reps_of_dim,
-    central_extension,
     ordinary_character_degrees,
 )
 from .pointed_center import (  # noqa: F401

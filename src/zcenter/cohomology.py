@@ -392,14 +392,19 @@ def cochain_from_json(G: FiniteGroup, data: dict):
     if not isinstance(k, int) or not 0 <= k <= 3:
         raise ValueError(f"bad degree {k!r}")
     n = G.order
+    entries = data["entries"]
+    if not isinstance(entries, list):
+        raise ValueError("cocycle JSON field 'entries' must be a list")
     dense = np.zeros((n,) * k, dtype=np.int64)
-    for entry in data["entries"]:
-        if len(entry) != k + 1:
+    for entry in entries:
+        if not isinstance(entry, list) or len(entry) != k + 1:
             raise ValueError(f"entry {entry!r} has wrong arity for degree {k}")
         *idx, v = entry
         if any(not isinstance(g, int) or not 0 <= g < n for g in idx):
             raise ValueError(f"element index out of range in entry {entry!r}")
-        dense[tuple(idx)] = int(v) % N
+        if not isinstance(v, int):
+            raise ValueError(f"value in entry {entry!r} is not an integer")
+        dense[tuple(idx)] = v % N
     dense, correction = _normalize(G, k, N, dense)
     return Cochain(G, k, N, dense=dense), correction
 

@@ -63,7 +63,7 @@ class FiniteGroup:
 
     def __init__(self, table, label: str | None = None,
                  cyclic_factors: tuple[int, ...] | None = None):
-        table = np.ascontiguousarray(np.asarray(table, dtype=np.int32))
+        table = np.asarray(table)
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise ValueError(f"table must be square, got shape {table.shape}")
         n = table.shape[0]
@@ -73,9 +73,13 @@ class FiniteGroup:
             raise ValueError(
                 f"table of order {n} exceeds the supported maximum "
                 f"{MAX_TABLE_ORDER} (memory guard)")
+        # checked before the int32 cast, which would truncate or wrap
+        if table.dtype.kind not in "iu":
+            raise ValueError(
+                f"table entries must be integers, got dtype {table.dtype}")
         if table.min() < 0 or table.max() >= n:
             raise ValueError("table entries out of range")
-        self.table = table
+        self.table = np.ascontiguousarray(table, dtype=np.int32)
         self.order = n
         self.label = label if label is not None else f"order{n}"
         self.cyclic_factors = cyclic_factors
@@ -614,7 +618,9 @@ def group_from_json(data: dict) -> tuple[FiniteGroup, np.ndarray | None]:
     table = data["table"]
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"bad group order {n!r}")
-    if len(table) != n or any(len(row) != n for row in table):
+    if not (isinstance(table, list) and len(table) == n
+            and all(isinstance(row, list) and len(row) == n
+                    for row in table)):
         raise ValueError("group table shape does not match its order")
     lbl = data.get("label") or f"file-order{n}"
     G = FiniteGroup(table, label=lbl)
@@ -625,8 +631,7 @@ def group_from_json(data: dict) -> tuple[FiniteGroup, np.ndarray | None]:
     relabel = np.empty(n, dtype=np.int32)
     for new, old in enumerate(new_order):
         relabel[old] = new
-    T = np.asarray(table, dtype=np.int32)
-    new_table = relabel[T[np.ix_(new_order, new_order)]]
+    new_table = relabel[G.table[np.ix_(new_order, new_order)]]
     G2 = FiniteGroup(new_table, label=lbl)
     G2.relabeling = relabel
     return G2, relabel

@@ -8,13 +8,16 @@ chosen by whether G is abelian (the tests cross-check the two):
 
   * abelian fast path: the regular elements form a subgroup R and all
     irreducibles share dimension sqrt(|G|/|R|), with |R| of them;
-  * central extension: degrees of the extension Z/N x_gamma G are found
-    by the class-algebra eigenvector method over a prime field, keeping
-    the characters where the central Z/N acts by the standard faithful
-    character.  Ordinary character degrees are the case N = 1.
+  * class algebra: the centre of K^gamma(G) has a basis of twisted
+    sums over the gamma-regular classes.  Its characters are the common
+    eigenvectors of the multiplication matrices over a prime field, and
+    the orthogonality relation of projective characters turns each into
+    a degree (Karpilovsky, Projective Representations of Finite Groups,
+    1985; Dixon, Numer. Math. 10, 1967).  Ordinary character degrees are
+    the case gamma = 0.
 
 No floating point anywhere; eigenvalue work happens in F_p with
-p = 1 mod exponent and p > 2 sqrt(order), which pins degrees uniquely.
+p = 1 mod N * exponent and p > 2 sqrt(order), which pins degrees uniquely.
 """
 
 from __future__ import annotations
@@ -34,11 +37,11 @@ __all__ = [
     "irrep_profile",
     "count_reps_of_dim",
     "ordinary_character_degrees",
-    "central_extension",
 ]
 
-MAX_EXTENSION_ORDER = 4096
-PRIME_LIMIT = 2 ** 31
+# The one size bound of the class-algebra path: p < 2^20 keeps every sum
+# of up to MAX_TABLE_ORDER products of two residues inside int64.
+PRIME_LIMIT = 2 ** 20
 
 
 class TwistedGroupAlgebra:
@@ -84,22 +87,19 @@ class IrrepProfile:
         return ways[m]
 
 
-def _regular_element_mask(T: TwistedGroupAlgebra) -> np.ndarray:
+def _regular_element_mask(G: FiniteGroup, gam: np.ndarray,
+                          elements=slice(None)) -> np.ndarray:
     """Element g is regular iff gamma(g,x) = gamma(x,g) on its centralizer."""
-    gam = T.cocycle.dense
-    table = T.group.table
-    return ((gam == gam.T) | (table != table.T)).all(axis=1)
+    table = G.table
+    return ((gam[elements] == gam[:, elements].T)
+            | (table[elements] != table[:, elements].T)).all(axis=1)
 
 
 def regular_classes(T: TwistedGroupAlgebra) -> set:
     """Class indices whose elements are gamma-regular."""
-    cc = conjugacy_classes(T.group)
-    mask = _regular_element_mask(T)
-    out = set()
-    for i, rep in enumerate(cc.representatives):
-        if mask[rep]:
-            out.add(i)
-    return out
+    reps = conjugacy_classes(T.group).representatives
+    mask = _regular_element_mask(T.group, T.cocycle.dense, reps)
+    return {int(i) for i in np.nonzero(mask)[0]}
 
 
 def count_reps_of_dim(T: TwistedGroupAlgebra, m: int) -> int:
@@ -118,7 +118,7 @@ def _abelian_profile(T: TwistedGroupAlgebra) -> IrrepProfile:
     Projective Representations of Finite Groups, 1985).
     """
     G = T.group
-    R = np.nonzero(_regular_element_mask(T))[0]
+    R = np.nonzero(_regular_element_mask(G, T.cocycle.dense))[0]
     d = math.isqrt(G.order // len(R))
     if not (np.isin(G.table[np.ix_(R, R)], R).all()
             and d * d * len(R) == G.order):
@@ -129,27 +129,16 @@ def _abelian_profile(T: TwistedGroupAlgebra) -> IrrepProfile:
 
 # -- prime-field helpers ----------------------------------------------
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
-def _dixon_prime(exponent: int, order: int) -> int:
-    """Smallest prime p = 1 mod exponent with p^2 > 4*order."""
-    p = exponent + 1
+def _dixon_prime(m: int, order: int) -> int:
+    """Smallest prime p = 1 mod m with p^2 > 4*order."""
+    p = m + 1
     while p < PRIME_LIMIT:
-        if p * p > 4 * order and _is_prime(p):
+        if p * p > 4 * order and _prime_factors(p) == [p]:
             return p
-        p += exponent
-    raise ValueError(f"no usable prime below {PRIME_LIMIT}")
+        p += m
+    raise ValueError(
+        f"no prime p = 1 mod {m} with p^2 > {4 * order} below the "
+        f"Dixon prime bound {PRIME_LIMIT}")
 
 
 def _primitive_root(p: int) -> int:
@@ -200,103 +189,67 @@ def _nullspace_mod_p(M: np.ndarray, p: int) -> np.ndarray:
     return basis
 
 
-def _charpoly_mod_p(C: np.ndarray, p: int) -> np.ndarray:
-    """Monic characteristic polynomial coefficients mod p (Hessenberg)."""
-    H = (np.array(C, dtype=np.int64) % p).copy()
-    r = H.shape[0]
-    for c in range(r - 2):
-        piv = None
-        for i in range(c + 1, r):
-            if H[i, c] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != c + 1:
-            H[[c + 1, piv]] = H[[piv, c + 1]]
-            H[:, [c + 1, piv]] = H[:, [piv, c + 1]]
-        inv = pow(int(H[c + 1, c]), p - 2, p)
-        for i in range(c + 2, r):
-            f = (H[i, c] * inv) % p
-            if f:
-                H[i] = (H[i] - f * H[c + 1]) % p
-                H[:, c + 1] = (H[:, c + 1] + f * H[:, i]) % p
-    # charpoly of a Hessenberg matrix by the leading-minor recurrence
-    polys = [np.array([1], dtype=np.int64)]
-    for m in range(1, r + 1):
-        # coefficients stored highest degree first
-        term = np.zeros(m + 1, dtype=np.int64)
-        term[1:] = (polys[m - 1] * int(H[m - 1, m - 1])) % p
-        base = np.zeros(m + 1, dtype=np.int64)
-        base[:m] = polys[m - 1]
-        poly = (base - term) % p
-        prod = 1
-        for i in range(m - 1, 0, -1):
-            prod = (prod * int(H[i, i - 1])) % p
-            coeff = (prod * int(H[i - 1, m - 1])) % p
-            if coeff:
-                sub = np.zeros(m + 1, dtype=np.int64)
-                sub[m + 1 - len(polys[i - 1]):] = polys[i - 1]
-                poly = (poly - coeff * sub) % p
-        polys.append(poly)
-    return polys[r] % p
+def _matpow_mod_p(M: np.ndarray, e: int, p: int) -> np.ndarray:
+    """M^e mod p by repeated squaring."""
+    out = np.eye(len(M), dtype=np.int64)
+    while e:
+        if e & 1:
+            out = out @ M % p
+        M = M @ M % p
+        e >>= 1
+    return out
 
 
-def _poly_roots_mod_p(coeffs: np.ndarray, p: int) -> list:
-    """All roots in F_p of a monic polynomial, ascending."""
-    ts = np.arange(p, dtype=np.int64)
-    vals = np.zeros(p, dtype=np.int64)
-    for c in coeffs:
-        vals = (vals * ts + int(c)) % p
-    return [int(t) for t in np.nonzero(vals == 0)[0]]
+def _eigenspaces(B: np.ndarray, A: np.ndarray, p: int) -> list:
+    """Row bases of the eigenspaces of A on the A-invariant row space of B.
 
-
-# -- Dixon class-algebra degrees --------------------------------------
-
-def _class_matrix(G: FiniteGroup, cc, i: int) -> np.ndarray:
-    """(A_i)[j, k] = #{(x, y) : x in C_i, y in C_j, xy = rep_k}."""
-    k = cc.count
-    reps = np.array(cc.representatives, dtype=np.int64)
-    X = np.nonzero(cc.class_of == i)[0]
-    Y = G.table[np.ix_(G.inverse[X], reps)]
-    J = cc.class_of[Y]
-    A = np.zeros((k, k), dtype=np.int64)
-    np.add.at(A, (J, np.broadcast_to(np.arange(k), J.shape)), 1)
-    return A
-
-
-def _character_vectors(G: FiniteGroup, p: int) -> np.ndarray:
-    """Rows v with v_j = |C_j| chi(g_j) / chi(1) mod p, one per character.
-
-    Found as the common eigenvectors of the class-algebra multiplication
-    matrices, refined one matrix at a time (lowest class index first).
+    A acts diagonalisably with eigenvalues in F_p, so it is scalar on a
+    space with one eigenvalue.  Otherwise S = (C + a)^((p-1)/2), for C
+    the action of A, is 0, 1 or -1 on each eigenspace of C (the quadratic
+    character of lambda + a).  Two eigenvalues differ in it for some
+    a = 0, 1, 2, ... (their Jacobsthal sum over all a is -1), and then
+    S's eigenspaces split the space.  No root of a polynomial is sought,
+    so the cost grows with log p, not p.
     """
-    cc = conjugacy_classes(G)
-    k = cc.count
-    if k * (p - 1) ** 2 >= 2 ** 63:
-        raise ValueError(
-            f"prime {p} too large for the int64 arithmetic path")
+    images = B @ A.T % p
+    c = int(np.flatnonzero(B[0])[0])
+    lam = int(images[0, c]) * pow(int(B[0, c]), p - 2, p) % p
+    if (images == lam * B % p).all():
+        return [B]
+    B, piv = _rref_mod_p(B, p)
+    C = (B @ A.T % p)[:, piv]  # row coordinates x act by x -> x C
+    I = np.eye(len(C), dtype=np.int64)
+    for a in range(p):
+        S = _matpow_mod_p((C + a * I) % p, (p - 1) // 2, p)
+        if (S == S[0, 0] * I).all():
+            continue
+        parts = [_nullspace_mod_p((S.T - t * I) % p, p) for t in (0, 1, p - 1)]
+        if sum(len(P) for P in parts) != len(C):
+            raise AssertionError(
+                "class matrix is not diagonalisable over F_p; the chosen "
+                "prime cannot separate characters")
+        if max(len(P) for P in parts) < len(C):
+            return [E for P in parts if len(P)
+                    for E in _eigenspaces(P @ B % p, A, p)]
+    raise AssertionError("no shift separates the eigenvalues")
+
+
+# -- class-algebra degrees --------------------------------------------
+
+def _character_vectors(class_matrix, k: int, e: int, p: int) -> np.ndarray:
+    """Rows v with v_j = omega(c_j) mod p, one per central character omega
+    of an algebra with basis c_0..c_{k-1}, c_e = 1, where
+    c_i c_j = sum over l of class_matrix(i)[j, l] c_l.
+
+    Found as the common eigenvectors of the multiplication matrices,
+    refined one matrix at a time (lowest basis index first).
+    """
     blocks = [np.eye(k, dtype=np.int64)]
-    for i in range(1, k):
+    for i in range(k):
         if all(len(B) == 1 for B in blocks):
             break
-        Ai = _class_matrix(G, cc, i) % p
-        refined = []
-        for B in blocks:
-            if len(B) == 1:
-                refined.append(B)
-                continue
-            B, piv = _rref_mod_p(B, p)
-            images = (B @ Ai.T) % p
-            C = images[:, piv]
-            roots = _poly_roots_mod_p(_charpoly_mod_p(C, p), p)
-            for t in roots:
-                coords = _nullspace_mod_p((C.T - t * np.eye(len(C),
-                                                            dtype=np.int64))
-                                          % p, p)
-                if len(coords):
-                    refined.append((coords @ B) % p)
-        blocks = refined
+        Ai = class_matrix(i) % p
+        blocks = [E for B in blocks for E in _eigenspaces(B, Ai, p)]
     vectors = []
     for B in blocks:
         if len(B) != 1:
@@ -304,98 +257,110 @@ def _character_vectors(G: FiniteGroup, p: int) -> np.ndarray:
                 "class algebra did not split into one-dimensional "
                 "eigenspaces; the chosen prime cannot separate characters")
         w = B[0]
-        if w[0] % p == 0:
+        if w[e] % p == 0:
             raise AssertionError("character vector vanishes at the identity")
-        vectors.append((w * pow(int(w[0]), p - 2, p)) % p)
+        vectors.append((w * pow(int(w[e]), p - 2, p)) % p)
     return np.array(vectors, dtype=np.int64)
 
 
-def _degree_of_vector(G: FiniteGroup, v: np.ndarray, p: int) -> int:
+def _class_algebra_degrees(G: FiniteGroup, gam: np.ndarray, N: int) -> list:
+    """Degrees, ascending, of the irreducible representations of
+    K^gamma(G), for an n x n array gam of residues mod N.
+
+    For a regular class K_j with representative r_j and h = x r_j x^-1,
+    u_x u_r u_x^-1 = zeta^{s(h)} u_h, well defined because r_j is
+    regular.  The sums c_j = sum over h in K_j of zeta^{s(h)} u_h are a
+    basis of the centre.  A character chi of degree d gives the central
+    character v_j = |K_j| chi(u_{r_j}) / d, and the orthogonality
+    relation sum over g of chi(u_g) chi(u_g^-1) = |G| becomes
+    |G| / d^2 = sum over j of v_j v_{j*} zeta^{-t_j} / |K_j|, where
+    K_{j*} holds r_j^-1 and t_j = gamma(r_j, r_j^-1) + s(r_j^-1).
+    """
+    # the eigenvalues are sums of (N * exponent)-th roots of unity
+    p = _dixon_prime(N * G.exponent(), G.order)
+    zeta = pow(_primitive_root(p), (p - 1) // N, p)
+    zpow = np.ones(N, dtype=np.int64)  # zpow[a] = zeta^a
+    m, step = 1, zeta
+    while m < N:
+        zpow[m:2 * m] = zpow[:min(m, N - m)] * step % p
+        m, step = 2 * m, step * step % p
+
+    T, inv = G.table, G.inverse
     cc = conjugacy_classes(G)
-    reps = np.array(cc.representatives, dtype=np.int64)
-    jstar = cc.class_of[G.inverse[reps]]
-    s = 0
-    for j in range(cc.count):
-        s = (s + int(v[j]) * int(v[jstar[j]])
-             * pow(int(cc.class_sizes[j]), p - 2, p)) % p
-    if s == 0:
-        raise AssertionError("degenerate character norm")
-    target = (G.order * pow(int(s), p - 2, p)) % p
+    regular = np.nonzero(
+        _regular_element_mask(G, gam, cc.representatives))[0]
+    reps = cc.representatives[regular].astype(np.int64)
+    k = len(reps)
+    basis = np.full(cc.count, -1, dtype=np.int64)
+    basis[regular] = np.arange(k)
+    # s(h) on every regular class, from all x at once (any x gives it)
+    s = np.zeros(G.order, dtype=np.int64)
+    gam_inv = gam[np.arange(G.order), inv]
+    for r in reps:
+        xr = T[:, r]
+        s[T[xr, inv]] = (gam[:, r] + gam[xr, inv] - gam_inv) % N
+
+    def class_matrix(i):
+        # (A_i)[j, l]: coefficient of u_{r_l} in c_i c_j, summed over
+        # x in K_i and y = x^-1 r_l; y outside the regular classes cancels
+        X = np.nonzero(cc.class_of == regular[i])[0]
+        Y = T[np.ix_(inv[X], reps)]
+        J = basis[cc.class_of[Y]]
+        ok = J >= 0
+        E = (s[X][:, None] + s[Y] + gam[X[:, None], Y]) % N
+        L = np.broadcast_to(np.arange(k), J.shape)
+        A = np.zeros((k, k), dtype=np.int64)
+        np.add.at(A, (J[ok], L[ok]), zpow[E[ok]])
+        return A
+
+    e = int(basis[cc.class_of[G.identity]])
+    vectors = _character_vectors(class_matrix, k, e, p)
+    rinv = inv[reps]
+    jstar = basis[cc.class_of[rinv]]
+    weights = zpow[-(gam[reps, rinv] + s[rinv]) % N]
+    weights = weights * [pow(int(c), p - 2, p)
+                         for c in cc.class_sizes[regular]] % p
     bound = math.isqrt(G.order)
-    hits = [d for d in range(1, bound + 1) if (d * d) % p == target]
-    if len(hits) != 1:
-        raise AssertionError(
-            f"degree not pinned uniquely by prime {p}: candidates {hits}")
-    return hits[0]
-
-
-def _dixon_degrees(G: FiniteGroup, c: int, N: int) -> list:
-    """Degrees, ascending, of the irreducible characters of G on which
-    the central element c of order N acts by zeta_N (N = 1: all)."""
-    if G.is_abelian():
-        # each character of <c> extends in |G| / N ways
-        degrees = [1] * (G.order // N)
-    else:
-        p = _dixon_prime(G.exponent(), G.order)
-        zp = pow(_primitive_root(p), (p - 1) // N, p)
-        cc = conjugacy_classes(G)
-        jc = int(cc.class_of[c])
-        if cc.class_sizes[jc] != 1:
-            raise AssertionError("central element not in a singleton class")
-        degrees = sorted(_degree_of_vector(G, v, p)
-                         for v in _character_vectors(G, p) if int(v[jc]) == zp)
-    if N * sum(d * d for d in degrees) != G.order:
-        raise AssertionError("degree squares do not sum to |G| / N")
-    return degrees
+    degrees = []
+    for v in vectors:
+        norm = int((v * v[jstar] % p * weights % p).sum()) % p
+        if norm == 0:
+            raise AssertionError("degenerate character norm")
+        target = G.order * pow(norm, p - 2, p) % p
+        hits = [d for d in range(1, bound + 1) if d * d % p == target]
+        if len(hits) != 1:
+            raise AssertionError(
+                f"degree not pinned uniquely by prime {p}: candidates {hits}")
+        degrees.append(hits[0])
+    if sum(d * d for d in degrees) != G.order:
+        raise AssertionError("degree squares do not sum to |G|")
+    return sorted(degrees)
 
 
 def ordinary_character_degrees(G: FiniteGroup) -> list:
     """Ordinary irreducible character degrees, ascending, exactly."""
-    return _dixon_degrees(G, G.identity, 1)
+    if G.is_abelian():
+        return [1] * G.order
+    zero = np.broadcast_to(np.int64(0), (G.order, G.order))
+    return _class_algebra_degrees(G, zero, 1)
 
 
-def central_extension(G: FiniteGroup, gamma: Cochain):
-    """Z/N x_gamma G with (a,g)(b,h) = (a+b+gamma(g,h), gh).
-
-    Element (a, g) is encoded as a*|G| + g; returns (extension, index
-    of the central generator (1 mod N, e)).
-    """
-    N = gamma.modulus
-    n = G.order
-    order = N * n
-    if order > MAX_EXTENSION_ORDER:
-        raise ValueError(
-            f"central extension order {order} exceeds {MAX_EXTENSION_ORDER}")
-    a = np.arange(order) // n
-    g = np.arange(order) % n
-    lift = (a[:, None] + a[None, :] + gamma.dense[np.ix_(g, g)]) % N
-    table = lift * n + G.table[np.ix_(g, g)]
-    label = f"Z{N}x({G.label})" if G.label else None
-    return FiniteGroup(table, label=label), (1 % N) * n + G.identity
-
-
-def _extension_profile(T: TwistedGroupAlgebra) -> IrrepProfile:
-    G = T.group
+def _class_algebra_profile(T: TwistedGroupAlgebra) -> IrrepProfile:
     # zeta_N^gamma = zeta_N'^gamma' with N' = N / gcd(N, gamma's values),
-    # so the smaller extension Z/N' x_gamma' G gives the same algebra
+    # so the smaller modulus gives the same algebra and a smaller prime
     d = math.gcd(T.modulus, int(np.gcd.reduce(T.cocycle.dense, axis=None)))
-    N = T.modulus // d
-    Gt, c = central_extension(
-        G, Cochain(G, 2, N, dense=T.cocycle.dense // d))
-    dims = tuple(_dixon_degrees(Gt, c, N))
-    if len(dims) != len(regular_classes(T)):
-        raise AssertionError(
-            "irreducible count disagrees with the regular class count")
-    return IrrepProfile(dimensions=dims, method="central-extension")
+    dims = _class_algebra_degrees(T.group, T.cocycle.dense // d,
+                                  T.modulus // d)
+    return IrrepProfile(dimensions=tuple(dims), method="class-algebra")
 
 
 def irrep_profile(T: TwistedGroupAlgebra) -> IrrepProfile:
     """Wedderburn dimension profile of K^gamma(G), computed once.
 
-    The abelian fast path serves abelian G, the central extension all
-    other groups.
+    The abelian fast path serves abelian G, the class algebra all other
+    groups.
     """
     if T._profile is None:
         T._profile = (_abelian_profile(T) if T.group.is_abelian()
-                      else _extension_profile(T))
+                      else _class_algebra_profile(T))
     return T._profile

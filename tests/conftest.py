@@ -5,13 +5,15 @@ non-product order-8 groups (dihedral and quaternion) are constructed
 here by hand since the library only ships cyclic/symmetric builders.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
 from zcenter.cohomology import Cochain, coboundary, cup3
-from zcenter.group_core import (FiniteGroup, direct_product, make_alternating,
-                                make_cyclic, make_symmetric,
-                                enumerate_homomorphisms)
+from zcenter.group_core import (FiniteGroup, center, direct_product,
+                                make_alternating, make_cyclic, make_symmetric,
+                                enumerate_homomorphisms, quotient_group)
 
 
 def make_dihedral4() -> FiniteGroup:
@@ -75,6 +77,42 @@ def bilinear_cochain(G: FiniteGroup, coeffs: dict, modulus: int) -> Cochain:
         term = (c * coords[i][:, None] * coords[j][None, :]) % d
         dense += term * (modulus // d)
     return Cochain(G, 2, modulus, dense=dense)
+
+
+def schur_cover_cocycle(q: int, special: bool, modulus: int):
+    """(Q, gamma) with Q = G / Z(G) for G = SL(2, q) or GL(2, q), q prime.
+
+    G is tabled over its matrices mod q, identity first.  Z(G) is the
+    cyclic group of its scalars; let m = |Z(G)| and let c0 I generate it.
+    gamma mod N (m | N) is the 2-cocycle of the section s taking each
+    coset to its least element: s(x) s(y) = (c0 I)^a s(xy) gives
+    gamma(x, y) = (N/m) a.  The gamma-projective representations of Q
+    are then the representations of G in which c0 I acts by zeta_m.
+    """
+    det = lambda m: (m[0] * m[3] - m[1] * m[2]) % q
+    mats = sorted((m for m in itertools.product(range(q), repeat=4)
+                   if (det(m) == 1 if special else det(m) != 0)),
+                  key=lambda m: (m != (1, 0, 0, 1), m))
+    M = np.array(mats, dtype=np.int64)
+    place = q ** np.arange(3, -1, -1)
+    index = np.full(q ** 4, -1, dtype=np.int64)
+    index[M @ place] = np.arange(len(M))
+    prods = np.einsum("aij,bjk->abik", M.reshape(-1, 2, 2),
+                      M.reshape(-1, 2, 2)) % q
+    G = FiniteGroup(index[prods.reshape(len(M), len(M), 4) @ place],
+                    label=f"{'S' if special else 'G'}L(2,{q})")
+    Z = center(G)
+    m = len(Z)
+    root = next(c for c in range(2, q)
+                if len({pow(c, k, q) for k in range(1, q)}) == q - 1)
+    c0 = pow(root, (q - 1) // m, q)
+    log = {pow(c0, a, q): a for a in range(m)}
+    Q, proj = quotient_group(G, Z)
+    section = np.unique(proj.images, return_index=True)[1]
+    s = section[:, None]
+    z = G.table[G.table[s, section[None, :]], G.inverse[section[Q.table]]]
+    a = np.vectorize(lambda g: log[int(M[g, 0])])(z)
+    return Q, Cochain(Q, 2, modulus, dense=(modulus // m) * a)
 
 
 def random_cochain(G: FiniteGroup, degree: int, modulus: int,

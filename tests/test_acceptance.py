@@ -20,7 +20,7 @@ from zcenter.group_core import (GroupHom, center, conjugacy_classes,
 from zcenter.pointed_center import (CentralObjectSpec, PointedCategory,
                                     kernel_of_characteristic, lift_count)
 from zcenter.twisted_rep import (TwistedGroupAlgebra, _abelian_profile,
-                                 _extension_profile)
+                                 _class_algebra_profile)
 
 from conftest import pullback, random_cochain, shifted
 from oracles import brute_force_hom_images, oracle_lift_count
@@ -82,13 +82,13 @@ def test_criterion_02_obstruction_non_vanishing():
 
 def test_criterion_03_wedderburn_profile_both_paths():
     """K^gamma (Z/n)^3 has exactly n irreducibles, all of dimension n,
-    on the abelian fast path and on the central-extension path; < 30 s."""
+    on the abelian fast path and on the class-algebra path; < 30 s."""
     t0 = time.monotonic()
     for n in (2, 3):
         G, omega, z = _cube(n)
         gam = gamma(omega, z)
         fast = _abelian_profile(TwistedGroupAlgebra(G, gam))
-        dixon = _extension_profile(TwistedGroupAlgebra(G, gam))
+        dixon = _class_algebra_profile(TwistedGroupAlgebra(G, gam))
         assert fast.dimensions == (n,) * n
         assert dixon.dimensions == (n,) * n
         assert fast.dimensions == dixon.dimensions

@@ -172,6 +172,34 @@ def test_cocycle_file_errors(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("table,problem", [
+    ([[0, 1], [1, 0.5]], "integers"),        # was truncated to C2
+    (7, "shape"),                            # was a TypeError on len()
+    ([[0, 1], [1, 4294967296]], "range"),    # was an int32 OverflowError
+])
+def test_malformed_group_table(capsys, tmp_path, table, problem):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"order": 2, "table": table}))
+    code, out, err = run(capsys, "group-info", "--group", f"file:{path}")
+    assert (code, out) == (2, "")
+    assert problem in err
+
+
+@pytest.mark.parametrize("entries,problem", [
+    ([[1, 1, 1.7]], "integer"),   # was read as 1 through int()
+    ([5], "arity"),               # was a TypeError on len()
+    ([[1, 1, None]], "integer"),  # was a TypeError in int()
+])
+def test_malformed_cocycle_entries(capsys, tmp_path, entries, problem):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(
+        {"modulus": 2, "degree": 2, "entries": entries}))
+    code, out, err = run(capsys, "cohomology", "--group", "C2",
+                         "--cocycle", f"file:{path}")
+    assert (code, out) == (2, "")
+    assert problem in err
+
+
 def test_modulus_bound(capsys, tmp_path):
     # residues mod N >= 2^31 could overflow int64: every way a modulus
     # enters is refused with the bound named, and no verdict is printed

@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 
 from zcenter.cohomology import Cochain, CocycleError, coboundary, cup3, gamma
-from zcenter.group_core import (direct_product, make_cyclic, make_symmetric,
-                                conjugacy_classes)
-from zcenter.twisted_rep import (IrrepProfile, TwistedGroupAlgebra,
-                                 central_extension, count_reps_of_dim,
+from zcenter.group_core import (FiniteGroup, direct_product, make_cyclic,
+                                make_symmetric, conjugacy_classes)
+from zcenter.twisted_rep import (PRIME_LIMIT, IrrepProfile,
+                                 TwistedGroupAlgebra, count_reps_of_dim,
                                  irrep_profile, ordinary_character_degrees,
                                  regular_classes, _abelian_profile,
-                                 _dixon_prime, _extension_profile)
+                                 _class_algebra_profile, _dixon_prime)
 
-from conftest import bilinear_cochain, pullback, random_cochain
+from conftest import (bilinear_cochain, pullback, random_cochain,
+                      schur_cover_cocycle)
 
 
 def algebra(G, coeffs, N):
@@ -86,6 +87,15 @@ def test_ordinary_degrees(S3, S4, S5, A4, A5, D4, Q8, C6):
     assert ordinary_character_degrees(C6) == [1] * 6
 
 
+def test_identity_not_at_index_zero(S4):
+    # relabel S4 so that the identity is the last element
+    perm = np.roll(np.arange(24), 1)  # old g -> new perm[g]; e -> 23
+    back = np.argsort(perm)
+    G = FiniteGroup(perm[S4.table[np.ix_(back, back)]])
+    assert G.identity == 23
+    assert ordinary_character_degrees(G) == [1, 1, 2, 3, 3]
+
+
 def test_degree_squares_sum(test_universe):
     for G in test_universe:
         degs = ordinary_character_degrees(G)
@@ -131,42 +141,73 @@ def test_paths_agree(label, factors, N):
                   for i in range(k) for j in range(k)}
         T = algebra(G, coeffs, N)
         fast = _abelian_profile(T)
-        slow = _extension_profile(T)
+        slow = _class_algebra_profile(T)
         assert fast.dimensions == slow.dimensions
         assert len(fast.dimensions) == len(regular_classes(T))
         assert fast.method == "abelian-fast-path"
-        assert slow.method == "central-extension"
+        assert slow.method == "class-algebra"
 
 
 def test_auto_uses_extension_for_nonabelian(S3):
     prof = irrep_profile(untwisted(S3))
-    assert prof.method == "central-extension"
+    assert prof.method == "class-algebra"
     assert prof.dimensions == (1, 1, 2)
 
 
 def test_zero_cocycle_extension_is_ordinary(S3, S4, A4, D4, Q8):
-    # zero gamma reduces to N' = 1: the extension is a copy of G
+    # zero gamma reduces to N' = 1: the ordinary class algebra of G
     for G in (S3, S4, A4, D4, Q8):
-        prof = _extension_profile(untwisted(G, 4))
+        prof = _class_algebra_profile(untwisted(G, 4))
         assert prof.dimensions == tuple(ordinary_character_degrees(G))
 
 
 def test_extension_size_guard():
     G = make_cyclic(60)
     # gamma = delta(phi) mod 70 with phi(1) = 1 takes the value 1, so the
-    # extension keeps modulus 70 and would have order 4200
+    # modulus stays 70 and the Dixon prime is 1 mod 4200 (the parent's
+    # central extension of order 4200 was refused)
     phi = Cochain(G, 1, 70, values={1: 1})
     T = TwistedGroupAlgebra(G, coboundary(phi))
-    # the fast path handles it
     prof = irrep_profile(T)
     assert prof.method == "abelian-fast-path"
     assert sum(d * d for d in prof.dimensions) == 60
-    with pytest.raises(ValueError, match="4096"):
-        _extension_profile(T)
-    # the bilinear gamma mod 70 takes only multiples of 7: its extension
-    # is built over Z/10 (order 600), and both paths agree on it
+    assert _class_algebra_profile(T).dimensions == prof.dimensions
+    # the bilinear gamma mod 70 takes only multiples of 7, so it reduces
+    # to modulus 10, and both paths agree on it
     T = algebra(G, {(0, 0): 1}, 70)
-    assert _extension_profile(T).dimensions == _abelian_profile(T).dimensions
+    assert _class_algebra_profile(T).dimensions == _abelian_profile(T).dimensions
+    # modulus 60 * 20000 stays unreduced: p = 1 mod 72,000,000 is refused
+    phi = Cochain(G, 1, 60 * 20000, values={1: 1})
+    T = TwistedGroupAlgebra(G, coboundary(phi))
+    with pytest.raises(ValueError, match="1048576"):
+        _class_algebra_profile(T)
+    assert irrep_profile(T).dimensions == (1,) * 60
+    # on S3 modulus 174762 stays unreduced and takes the largest prime
+    # the bound admits, p = 6 * 174762 + 1 = 1048573
+    S3 = make_symmetric(3)
+    phi = Cochain(S3, 1, 174762, values={1: 1})
+    assert _dixon_prime(6 * 174762, 6) == 1048573
+    prof = irrep_profile(TwistedGroupAlgebra(S3, coboundary(phi)))
+    assert prof.dimensions == (1, 1, 2)
+
+
+SCHUR_COVERS = [(3, True, (2, 2, 2)),     # SL(2,3) -> A4
+                (3, False, (2, 2, 4)),    # GL(2,3) -> S4
+                (5, True, (2, 2, 4, 6))]  # SL(2,5) -> A5
+
+
+@pytest.mark.parametrize("q,special,dims", SCHUR_COVERS)
+def test_schur_cover_projective_degrees(q, special, dims):
+    # the faithful-on-centre degrees of the cover are the projective
+    # degrees of the quotient for the section's cocycle
+    rng = np.random.default_rng(q + special)
+    for N in (2, 4):
+        Q, gam = schur_cover_cocycle(q, special, N)
+        prof = irrep_profile(TwistedGroupAlgebra(Q, gam))
+        assert prof.dimensions == dims
+        assert prof.method == "class-algebra"
+        shifted = gam + coboundary(random_cochain(Q, 1, N, rng))
+        assert irrep_profile(TwistedGroupAlgebra(Q, shifted)).dimensions == dims
 
 
 def test_profile_cached(C2cubed):
@@ -186,35 +227,7 @@ def test_shift_invariance(C2cubed, C3cubed):
             assert prof.dimensions == ref.dimensions
 
 
-# -- central extensions ------------------------------------------------
-
-def test_central_extension_structure(C2xC2):
-    w = bilinear_cochain(C2xC2, {(0, 1): 1}, 2)
-    Gt, c = central_extension(C2xC2, w)
-    assert Gt.order == 8
-    assert c == 4
-    assert int(Gt.element_orders()[c]) == 2
-    # c is central
-    assert all(Gt.mul(c, g) == Gt.mul(g, c) for g in range(8))
-    assert not Gt.is_abelian()  # this is the dihedral/quaternion family
-
-
-def test_extension_of_c2_by_z4_cocycle(C2):
-    f = Cochain(C2, 2, 2, values={(1, 1): 1})
-    Gt, c = central_extension(C2, f)
-    assert Gt.order == 4
-    assert Gt.exponent() == 4  # the cyclic extension, not Klein
-    f0 = Cochain.zero(C2, 2, 2)
-    Gt0, _ = central_extension(C2, f0)
-    assert Gt0.exponent() == 2
-
-
-def test_central_extension_modulus_one(S3):
-    # (1 mod 1, e) is the identity, not the out-of-range index |G|
-    Gt, c = central_extension(S3, Cochain.zero(S3, 2, 1))
-    assert Gt.order == 6
-    assert c == Gt.identity == 0
-
+# -- Dixon primes -----------------------------------------------------
 
 def test_dixon_prime_choices():
     assert _dixon_prime(12, 24) == 13
@@ -223,6 +236,12 @@ def test_dixon_prime_choices():
     assert _dixon_prime(2, 6) == 5
     p = _dixon_prime(4, 81)
     assert p % 4 == 1 and p * p > 4 * 81
+
+
+def test_dixon_prime_bound_covers_old_extension_bound():
+    # every N' * |C(g)| <= 4096 that a central extension of order at most
+    # 4096 accepted has N' * exponent <= 4096 and order <= 512 here
+    assert all(_dixon_prime(m, 512) < PRIME_LIMIT for m in range(1, 4097))
 
 
 # -- counting ----------------------------------------------------------
@@ -242,7 +261,7 @@ def test_count_of_dim_matches_brute(C2cubed, S3):
     cases = [
         irrep_profile(algebra(C2cubed, {(1, 2): 1}, 2)),
         irrep_profile(untwisted(S3)),
-        IrrepProfile(dimensions=(1, 1, 2, 3), method="central-extension"),
+        IrrepProfile(dimensions=(1, 1, 2, 3), method="class-algebra"),
     ]
     for prof in cases:
         for m in range(8):
@@ -268,7 +287,7 @@ def test_nonabelian_twisted_algebra(D4):
     prof = irrep_profile(T)
     assert sum(d * d for d in prof.dimensions) == 8
     assert len(prof.dimensions) == len(regular_classes(T))
-    assert prof.method == "central-extension"
+    assert prof.method == "class-algebra"
 
 
 def bilinear_cochain_on_klein(Q):
