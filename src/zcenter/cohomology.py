@@ -386,10 +386,11 @@ def cochain_from_json(G: FiniteGroup, data: dict):
             raise ValueError(f"cocycle JSON missing field {key!r}")
     N = data["modulus"]
     k = data["degree"]
-    if not isinstance(N, int):
+    # type() and not isinstance(): JSON true and false load as bool, an int
+    if type(N) is not int:
         raise ValueError(f"bad modulus {N!r}")
     check_modulus(N)
-    if not isinstance(k, int) or not 0 <= k <= 3:
+    if type(k) is not int or not 0 <= k <= 3:
         raise ValueError(f"bad degree {k!r}")
     n = G.order
     entries = data["entries"]
@@ -400,9 +401,9 @@ def cochain_from_json(G: FiniteGroup, data: dict):
         if not isinstance(entry, list) or len(entry) != k + 1:
             raise ValueError(f"entry {entry!r} has wrong arity for degree {k}")
         *idx, v = entry
-        if any(not isinstance(g, int) or not 0 <= g < n for g in idx):
+        if any(type(g) is not int or not 0 <= g < n for g in idx):
             raise ValueError(f"element index out of range in entry {entry!r}")
-        if not isinstance(v, int):
+        if type(v) is not int:
             raise ValueError(f"value in entry {entry!r} is not an integer")
         dense[tuple(idx)] = v % N
     dense, correction = _normalize(G, k, N, dense)

@@ -55,10 +55,12 @@ MAX_TABLE_ORDER = 10000
 class FiniteGroup:
     """A finite group given by a full multiplication table.
 
-    The table is validated on construction: Latin square, two-sided
-    identity, inverses, and associativity.  Associativity is exact at
-    every order: Light's test checks (gh)k = g(hk) for all h, k at each
-    g of `generating_sequence`, which decides it for every g.
+    The table is validated on construction: two-sided identity, two-sided
+    inverses, and associativity, which is exact at every order: Light's
+    test checks (gh)k = g(hk) for all h, k at each g of
+    `generating_sequence`, which decides it for every g.  A table passing
+    all three is a group's, hence a Latin square, so the Latin check runs
+    only when one fails; a table that is not Latin is refused as such.
     """
 
     def __init__(self, table, label: str | None = None,
@@ -93,35 +95,38 @@ class FiniteGroup:
         T = self.table
         n = self.order
         ar = np.arange(n, dtype=np.int32)
-        if not ((np.sort(T, axis=1) == ar).all()
-                and (np.sort(T, axis=0) == ar[:, None]).all()):
-            raise ValueError("table is not a Latin square")
         id_rows = np.nonzero((T == ar).all(axis=1))[0]
-        ident = None
-        for e in id_rows:
-            if np.array_equal(T[:, e], ar):
-                ident = int(e)
-                break
+        ident = next((int(e) for e in id_rows
+                      if np.array_equal(T[:, e], ar)), None)
         if ident is None:
-            raise ValueError("table has no two-sided identity")
+            self._refuse("table has no two-sided identity")
         self.identity = ident
-        inv = np.empty(n, dtype=np.int32)
-        rows, cols = np.nonzero(T == ident)
-        inv[rows] = cols
-        # inv[g] is the right inverse; it must also invert from the left
-        if not np.array_equal(T[inv, ar], np.full(n, ident)):
-            raise ValueError("table has an element without a two-sided inverse")
+        # rows need not be Latin here, so a right inverse is any e in the
+        # row and both sides are checked
+        inv = np.argmax(T == ident, axis=1).astype(np.int32)
+        if not ((T[ar, inv] == ident).all() and (T[inv, ar] == ident).all()):
+            self._refuse("table has an element without a two-sided inverse")
         self.inverse = inv
         def light(g):
             # (gh)k against g(hk) over all h, k, in blocks of rows h so
             # that no temporary is as large as the table
             Tg = T[g]
-            return np.concatenate([T[Tg[a:a + 256]] != Tg[T[a:a + 256]]
-                                   for a in range(0, n, 256)])
+            return np.concatenate([
+                np.take(T, Tg[a:a + 256], axis=0) != np.take(Tg, T[a:a + 256])
+                for a in range(0, n, 256)])
 
         cert = _failure_certificate(self, light)
         if cert is not None:
-            raise ValueError("associativity fails at ({},{},{})".format(*cert))
+            self._refuse("associativity fails at ({},{},{})".format(*cert))
+
+    def _refuse(self, problem: str):
+        """Raise "not a Latin square" if the table is not one, else problem."""
+        T = self.table
+        ar = np.arange(self.order, dtype=np.int32)
+        if not ((np.sort(T, axis=1) == ar).all()
+                and (np.sort(T, axis=0) == ar[:, None]).all()):
+            raise ValueError("table is not a Latin square")
+        raise ValueError(problem)
 
     # -- basics --------------------------------------------------------
 
@@ -175,7 +180,11 @@ class FiniteGroup:
         return P
 
     def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.table, self.table.T))
+        """Whether the generators commute pairwise, which decides it: the
+        elements commuting with a given set form a subgroup."""
+        gens = generating_sequence(self)
+        block = self.table[np.ix_(gens, gens)]
+        return bool(np.array_equal(block, block.T))
 
     def __repr__(self):
         return f"FiniteGroup({self.label}, order={self.order})"
@@ -267,9 +276,27 @@ def _perm_group(perms: list[tuple[int, ...]], label: str) -> FiniteGroup:
     index = np.zeros(m ** m, dtype=np.int32)
     index[P @ weights] = np.arange(n, dtype=np.int32)
     table = np.empty((n, n), dtype=np.int32)
-    for i in range(n):
-        # (p_i o p_j)(x) = p_i(p_j(x))
-        table[i] = index[P[i][P] @ weights]
+    built = np.zeros(n, dtype=bool)
+    seeds: list[int] = []
+    for s in range(n):
+        if built[s]:
+            continue
+        # greedy ascending seeds are composed: (p_s o p_j)(x) = p_s(p_j(x))
+        table[s] = index[P[s][P] @ weights]
+        built[s] = True
+        seeds.append(s)
+        frontier = np.nonzero(built)[0]
+        while len(frontier):
+            # p_i = p_t o p_k for a seed t has row T[t][T[k]]
+            found = []
+            for t in seeds:
+                new = table[t, frontier]
+                fresh = ~built[new]
+                new, ks = np.unique(new[fresh], return_index=True)
+                table[new] = np.take(table[t], table[frontier[fresh][ks]])
+                built[new] = True
+                found.append(new)
+            frontier = np.concatenate(found)
     return FiniteGroup(table, label=label)
 
 
@@ -351,9 +378,9 @@ def centralizer(G: FiniteGroup, S) -> tuple[int, ...]:
 
 
 def center(G: FiniteGroup) -> tuple[int, ...]:
-    """Elements commuting with everything."""
-    mask = (G.table == G.table.T).all(axis=1)
-    return tuple(int(x) for x in np.nonzero(mask)[0])
+    """Elements commuting with everything, i.e. with each generator (the
+    trivial group has no generators; its identity's centralizer is it)."""
+    return centralizer(G, generating_sequence(G) or [G.identity])
 
 
 def _bfs(G: FiniteGroup, gens) -> np.ndarray:
@@ -616,7 +643,7 @@ def group_from_json(data: dict) -> tuple[FiniteGroup, np.ndarray | None]:
             raise ValueError(f"group JSON missing field {key!r}")
     n = data["order"]
     table = data["table"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # JSON true loads as a bool, an int
         raise ValueError(f"bad group order {n!r}")
     if not (isinstance(table, list) and len(table) == n
             and all(isinstance(row, list) and len(row) == n

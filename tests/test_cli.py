@@ -189,6 +189,8 @@ def test_malformed_group_table(capsys, tmp_path, table, problem):
     ([[1, 1, 1.7]], "integer"),   # was read as 1 through int()
     ([5], "arity"),               # was a TypeError on len()
     ([[1, 1, None]], "integer"),  # was a TypeError in int()
+    ([[1, 1, True]], "integer"),  # was read as 1: bool is an int subclass
+    ([[True, 1, 1]], "index"),    # was read as element 1
 ])
 def test_malformed_cocycle_entries(capsys, tmp_path, entries, problem):
     path = tmp_path / "w.json"
@@ -198,6 +200,19 @@ def test_malformed_cocycle_entries(capsys, tmp_path, entries, problem):
                          "--cocycle", f"file:{path}")
     assert (code, out) == (2, "")
     assert problem in err
+
+
+@pytest.mark.parametrize("field", ["modulus", "degree"])
+def test_boolean_cocycle_header(capsys, tmp_path, field):
+    # true was read as 1: modulus 1 printed "modulus: True" and exited 0
+    data = {"modulus": 2, "degree": 2, "entries": []}
+    data[field] = True
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "cohomology", "--group", "C2",
+                         "--cocycle", f"file:{path}")
+    assert (code, out) == (2, "")
+    assert f"bad {field} True" in err
 
 
 def test_modulus_bound(capsys, tmp_path):

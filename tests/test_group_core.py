@@ -155,6 +155,100 @@ def test_rejects_intercalate_swapped_s6():
         refused += 1
 
 
+def _reference_verdict(T):
+    """The checks in their original order (Latin square, identity,
+    inverses, associativity), each over the whole table: ("ok", identity,
+    inverse) or ("error", message).  The associativity message names the
+    lexicographically first failing triple."""
+    T = np.asarray(T)
+    n = len(T)
+    ar = np.arange(n)
+    if not ((np.sort(T, axis=1) == ar).all()
+            and (np.sort(T, axis=0) == ar[:, None]).all()):
+        return ("error", "table is not a Latin square")
+    ident = next((int(e) for e in range(n)
+                  if (T[e] == ar).all() and (T[:, e] == ar).all()), None)
+    if ident is None:
+        return ("error", "table has no two-sided identity")
+    inv = np.argwhere(T == ident)[:, 1]  # Latin: one e in each row
+    if not (T[inv, ar] == ident).all():
+        return ("error", "table has an element without a two-sided inverse")
+    bad = np.argwhere(T[T] != T[:, T])  # [g, h, k]: (gh)k against g(hk)
+    if len(bad):
+        return ("error", "associativity fails at ({},{},{})".format(*bad[0]))
+    return ("ok", ident, tuple(int(x) for x in inv))
+
+
+def _verdict(T):
+    try:
+        G = FiniteGroup(T)
+    except ValueError as err:
+        return ("error", str(err))
+    return ("ok", G.identity, tuple(int(x) for x in G.inverse))
+
+
+def _relabeled(T, perm):
+    """The table with element g renamed perm[g]."""
+    back = np.argsort(perm)
+    return perm[np.asarray(T)[np.ix_(back, back)]]
+
+
+def test_verdicts_match_reference_on_all_3x3_tables():
+    """Validation runs the Latin check only when refusing; every verdict,
+    identity, inverse and message is unchanged."""
+    seen = set()
+    for cells in itertools.product(range(3), repeat=9):
+        T = np.array(cells).reshape(3, 3)
+        want = _reference_verdict(T)
+        assert _verdict(T) == want, T.tolist()
+        seen.add(want[1] if want[0] == "error" else "ok")
+    # a 3x3 Latin square with an identity is C3
+    assert seen == {"ok", "table is not a Latin square",
+                    "table has no two-sided identity"}
+
+
+def test_verdicts_match_reference_on_random_tables():
+    """Random 4-8 tables with an identity row and column, some with
+    two-sided inverses placed, renamed so that e may be any element."""
+    rng = np.random.default_rng(9)
+    for _ in range(2000):
+        n = int(rng.integers(4, 9))
+        T = rng.integers(0, n, (n, n))
+        T[0], T[:, 0] = np.arange(n), np.arange(n)
+        if rng.integers(2):
+            # pair every element with an inverse, so that the table
+            # passes the identity and inverse checks
+            pairs = rng.permutation(np.arange(1, n))
+            for a, b in zip(pairs[::2], pairs[1::2]):
+                T[a, b] = T[b, a] = 0
+            if len(pairs) % 2:
+                T[pairs[-1], pairs[-1]] = 0
+        T = _relabeled(T, rng.permutation(n))
+        assert _verdict(T) == _reference_verdict(T), T.tolist()
+
+
+def test_verdicts_match_reference_on_intercalate_swaps(S3, D4, Q8, A4):
+    """Latin squares one intercalate away from a group table: rows a and
+    a*t, columns c and t*c, for every a, c and involution t."""
+    refused = set()
+    for G in (S3, D4, Q8, A4):
+        T = G.table
+        involutions = [t for t in range(G.order)
+                       if t != G.identity and T[t, t] == G.identity]
+        for a, c, t in itertools.product(range(G.order), range(G.order),
+                                         involutions):
+            at, d = T[a, t], T[t, c]
+            bad = T.copy()
+            bad[[a, a, at, at], [c, d, c, d]] = T[[a, a, at, at],
+                                                  [d, c, d, c]]
+            want = _reference_verdict(bad)
+            assert _verdict(bad) == want, (G.label, a, c, t)
+            refused.add(want[0] == "ok" or want[1].split(" at ")[0])
+    assert refused == {"table has no two-sided identity",
+                       "table has an element without a two-sided inverse",
+                       "associativity fails"}
+
+
 def test_large_symmetric_groups_fail_fast():
     with pytest.raises(ValueError):
         make_symmetric(8)
@@ -269,6 +363,37 @@ def test_center_values(S3, A4, D4, Q8, C6):
     assert len(center(D4)) == 2
     assert center(Q8) == (0, 1)
     assert center(C6) == tuple(range(6))
+
+
+def test_center_and_abelian_match_definitions(C2, C3, S3, S4, A4, D4, Q8):
+    """Both are decided at the generators; the trivial group, whose
+    generating sequence is empty, is its own center and abelian."""
+    back = np.roll(np.arange(24), -1)  # S4 with the identity renamed 23
+    S4_relabeled = FiniteGroup(_relabeled(S4.table, np.argsort(back)))
+    assert S4_relabeled.identity == 23
+    groups = [make_trivial(), S3, S4, A4, D4, Q8,
+              direct_product(make_cyclic(4), C2), direct_product(S3, C3),
+              S4_relabeled]
+    for G in groups:
+        T = G.table
+        assert center(G) == tuple(
+            g for g in range(G.order) if (T[g] == T[:, g]).all()), G.label
+        assert G.is_abelian() == bool((T == T.T).all()), G.label
+    assert center(groups[0]) == (0,) and groups[0].is_abelian()
+
+
+def test_perm_group_tables_match_composition():
+    """Rows gathered from earlier rows equal direct composition:
+    table[i][j] is the index of p_i o p_j, lexicographic one-line order."""
+    for m in range(1, 7):
+        for make, even in ((make_symmetric, False), (make_alternating, True)):
+            perms = [p for p in itertools.permutations(range(m))
+                     if not even or sum(p[i] > p[j] for i in range(m)
+                                        for j in range(i + 1, m)) % 2 == 0]
+            pos = {p: i for i, p in enumerate(perms)}
+            want = [[pos[tuple(p[x] for x in q)] for q in perms]
+                    for p in perms]
+            assert make(m).table.tolist() == want, (make.__name__, m)
 
 
 def test_centralizer_intersection(S3):
@@ -523,6 +648,8 @@ def test_group_json_errors():
         group_from_json({"order": 3, "table": [[0, 1], [1, 0]]})
     with pytest.raises(ValueError):
         group_from_json({"order": 0, "table": []})
+    with pytest.raises(ValueError, match="bad group order True"):
+        group_from_json({"order": True, "table": [[0]]})  # was C1
     with pytest.raises(ValueError):
         group_from_json([[0]])
 
