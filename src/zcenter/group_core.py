@@ -58,9 +58,9 @@ class FiniteGroup:
     The table is validated on construction: two-sided identity, two-sided
     inverses, and associativity, which is exact at every order: Light's
     test checks (gh)k = g(hk) for all h, k at each g of
-    `generating_sequence`, which decides it for every g.  A table passing
-    all three is a group's, hence a Latin square, so the Latin check runs
-    only when one fails; a table that is not Latin is refused as such.
+    `generating_sequence`, which decides it for every g.  A group table is
+    Latin, so the Latin check runs only on a table that fails one of these
+    or has more than log2 n greedy generators, and refuses it if not Latin.
     """
 
     def __init__(self, table, label: str | None = None,
@@ -101,8 +101,7 @@ class FiniteGroup:
         if ident is None:
             self._refuse("table has no two-sided identity")
         self.identity = ident
-        # rows need not be Latin here, so a right inverse is any e in the
-        # row and both sides are checked
+        # rows need not be Latin: take any e in each row, check both sides
         inv = np.argmax(T == ident, axis=1).astype(np.int32)
         if not ((T[ar, inv] == ident).all() and (T[inv, ar] == ident).all()):
             self._refuse("table has an element without a two-sided inverse")
@@ -119,14 +118,15 @@ class FiniteGroup:
         if cert is not None:
             self._refuse("associativity fails at ({},{},{})".format(*cert))
 
-    def _refuse(self, problem: str):
+    def _refuse(self, problem: str | None = None):
         """Raise "not a Latin square" if the table is not one, else problem."""
         T = self.table
         ar = np.arange(self.order, dtype=np.int32)
         if not ((np.sort(T, axis=1) == ar).all()
                 and (np.sort(T, axis=0) == ar[:, None]).all()):
             raise ValueError("table is not a Latin square")
-        raise ValueError(problem)
+        if problem is not None:
+            raise ValueError(problem)
 
     # -- basics --------------------------------------------------------
 
@@ -278,9 +278,8 @@ def _perm_group(perms: list[tuple[int, ...]], label: str) -> FiniteGroup:
     table = np.empty((n, n), dtype=np.int32)
     built = np.zeros(n, dtype=bool)
     seeds: list[int] = []
-    for s in range(n):
-        if built[s]:
-            continue
+    while not built.all():
+        s = int(np.argmin(built))  # the least row not yet built
         # greedy ascending seeds are composed: (p_s o p_j)(x) = p_s(p_j(x))
         table[s] = index[P[s][P] @ weights]
         built[s] = True
@@ -378,8 +377,7 @@ def centralizer(G: FiniteGroup, S) -> tuple[int, ...]:
 
 
 def center(G: FiniteGroup) -> tuple[int, ...]:
-    """Elements commuting with everything, i.e. with each generator (the
-    trivial group has no generators; its identity's centralizer is it)."""
+    """Elements commuting with each generator (the identity, if none)."""
     return centralizer(G, generating_sequence(G) or [G.identity])
 
 
@@ -484,6 +482,10 @@ def generating_sequence(G: FiniteGroup) -> list[int]:
         for g in range(G.order):
             if not reached[g]:
                 gens.append(g)
+                if len(gens) == G.order.bit_length():
+                    # a group's generators each at least double the subgroup
+                    # reached, so this table is no group's; refuse if not Latin
+                    G._refuse()
                 reached[_bfs(G, gens)[:, 0]] = True
         G._cache["gens"] = gens
     return G._cache["gens"]

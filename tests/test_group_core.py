@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import time
 
 import numpy as np
 import pytest
@@ -247,6 +248,21 @@ def test_verdicts_match_reference_on_intercalate_swaps(S3, D4, Q8, A4):
     assert refused == {"table has no two-sided identity",
                        "table has an element without a two-sided inverse",
                        "associativity fails"}
+
+
+def test_non_latin_table_with_many_greedy_generators_is_refused_fast():
+    """Identity 0 and g*h = 0 for g, h >= 1: the identity and inverse
+    checks pass, and every element but 0 would be a greedy generator.  A
+    group has at most log2 n of them, so the scan stops there and the
+    table is refused as not Latin, without n generator searches."""
+    n = 2000
+    T = np.zeros((n, n), dtype=np.int32)
+    T[0], T[:, 0] = np.arange(n), np.arange(n)
+    assert _verdict(T[:8, :8]) == _reference_verdict(T[:8, :8])
+    t0 = time.monotonic()
+    with pytest.raises(ValueError, match="table is not a Latin square"):
+        FiniteGroup(T)
+    assert time.monotonic() - t0 < 10.0
 
 
 def test_large_symmetric_groups_fail_fast():
