@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -39,6 +40,9 @@ __all__ = [
 # Dense iteration guards: |G|^(k+1) sweeps get large fast.
 MAX_ORDER_DEG_LE2 = 512
 MAX_ORDER_DEG3 = 128
+# Cocycle file entries are checked and stored this many at a time, which
+# bounds the int64 copy (an order-128 degree-3 file has 2,097,152 entries)
+_ENTRY_CHUNK = 16384
 
 
 class CocycleError(ValueError):
@@ -375,7 +379,9 @@ def gamma(omega: Cochain, z: int) -> Cochain:
 def cochain_from_json(G: FiniteGroup, data: dict):
     """Build a cochain from {"modulus", "degree", "entries"} JSON data.
 
-    Non-normalized cocycles are normalized by subtracting an explicit
+    Values are any integers, reduced mod N; a tuple listed more than
+    once keeps its last value.  A malformed entry raises ValueError
+    naming the first one.  Non-normalized cocycles are normalized by subtracting an explicit
     coboundary; the applied correction (a degree k-1 dense array) is
     returned alongside, None when nothing was subtracted.
     """
@@ -397,17 +403,54 @@ def cochain_from_json(G: FiniteGroup, data: dict):
     if not isinstance(entries, list):
         raise ValueError("cocycle JSON field 'entries' must be a list")
     dense = np.zeros((n,) * k, dtype=np.int64)
-    for entry in entries:
-        if not isinstance(entry, list) or len(entry) != k + 1:
-            raise ValueError(f"entry {entry!r} has wrong arity for degree {k}")
-        *idx, v = entry
-        if any(type(g) is not int or not 0 <= g < n for g in idx):
-            raise ValueError(f"element index out of range in entry {entry!r}")
-        if type(v) is not int:
-            raise ValueError(f"value in entry {entry!r} is not an integer")
-        dense[tuple(idx)] = v % N
+    for start in range(0, len(entries), _ENTRY_CHUNK):
+        chunk = entries[start:start + _ENTRY_CHUNK]
+        rows = _entry_rows(chunk, k, n)
+        if rows is None:
+            for entry in chunk:
+                _check_entry(entry, k, n)
+            # every entry is well-formed: a value past int64 (or a list
+            # subclass) is all that sends a chunk here, so reduce in Python
+            rows = np.array([[*e[:k], e[k] % N] for e in chunk],
+                            dtype=np.int64)
+        flat = np.broadcast_to(  # a scalar 0 in degree 0
+            np.ravel_multi_index(tuple(rows[:, :k].T), dense.shape), len(rows))
+        # a repeated tuple keeps its last value, as when entries are written
+        # one by one: the first occurrence of each index in reverse order
+        last = len(rows) - 1 - np.unique(flat[::-1], return_index=True)[1]
+        dense.flat[flat[last]] = rows[last, k] % N
     dense, correction = _normalize(G, k, N, dense)
     return Cochain(G, k, N, dense=dense), correction
+
+
+def _entry_rows(chunk: list, k: int, n: int) -> np.ndarray | None:
+    """The entries as an (m, k + 1) int64 array, or None unless each is
+    a list of k + 1 ints (not bools) that fit int64, with indices in
+    0..n-1.  None sends the chunk to `_check_entry`, entry by entry."""
+    if set(map(type, chunk)) != {list} or set(map(len, chunk)) != {k + 1}:
+        return None
+    flat = list(chain.from_iterable(chunk))
+    if set(map(type, flat)) != {int}:
+        return None
+    try:
+        rows = np.array(flat, dtype=np.int64).reshape(len(chunk), k + 1)
+    except OverflowError:
+        return None
+    # a negative index reads as 2^64 - |i| unsigned: one comparison
+    if (rows[:, :k].view(np.uint64) >= n).any():
+        return None
+    return rows
+
+
+def _check_entry(entry, k: int, n: int) -> None:
+    """Raise the error for one malformed entry [g1, ..., gk, v]."""
+    if not isinstance(entry, list) or len(entry) != k + 1:
+        raise ValueError(f"entry {entry!r} has wrong arity for degree {k}")
+    *idx, v = entry
+    if any(type(g) is not int or not 0 <= g < n for g in idx):
+        raise ValueError(f"element index out of range in entry {entry!r}")
+    if type(v) is not int:
+        raise ValueError(f"value in entry {entry!r} is not an integer")
 
 
 def _normalize(G: FiniteGroup, k: int, N: int, dense: np.ndarray):
@@ -457,5 +500,8 @@ def load_cocycle(G: FiniteGroup, path: str):
 
 def cochain_to_json(f: Cochain) -> dict:
     """Serialize to the sparse {"modulus","degree","entries"} format."""
-    entries = sorted([list(k) + [v] for k, v in f.values.items()])
+    # row-major order is the sorted order of the index tuples
+    d = np.atleast_1d(f.dense)  # nonzero refuses a 0-d array
+    nz = np.nonzero(d)
+    entries = np.column_stack(nz[:f.degree] + (d[nz],)).tolist()
     return {"modulus": f.modulus, "degree": f.degree, "entries": entries}

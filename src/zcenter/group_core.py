@@ -344,22 +344,24 @@ def conjugacy_classes(G: FiniteGroup) -> ConjugacyClassData:
     """Conjugation orbits; representative = minimal index in each class."""
     if "conjugacy" in G._cache:
         return G._cache["conjugacy"]
-    n = G.order
     T = G.table
-    inv = G.inverse
-    class_of = np.full(n, -1, dtype=np.int32)
-    reps = []
-    sizes = []
-    for g in range(n):
-        if class_of[g] >= 0:
-            continue
-        orbit = np.unique(T[T[inv, g], np.arange(n)])
-        class_of[orbit] = len(reps)
-        reps.append(g)
-        sizes.append(len(orbit))
-    data = ConjugacyClassData(class_of,
-                              np.array(reps, dtype=np.int32),
-                              np.array(sizes, dtype=np.int64))
+    # conjugation x -> s^-1 x s by each generator; their orbits are the classes
+    maps = [T[T[G.inverse[s]], s] for s in generating_sequence(G)]
+    # label[x] stays in x's class and at most x; at the fixed point it is
+    # constant on each generator's cycles, so it is the class minimum
+    label = np.arange(G.order)
+    while True:
+        before = label
+        for c in maps:
+            label = np.minimum(label, label[c])
+        while not np.array_equal(label[label], label):
+            label = label[label]  # pointer jumping
+        if np.array_equal(label, before):
+            break
+    reps, class_of, sizes = np.unique(label, return_inverse=True,
+                                      return_counts=True)
+    data = ConjugacyClassData(class_of.astype(np.int32),
+                              reps.astype(np.int32), sizes.astype(np.int64))
     G._cache["conjugacy"] = data
     return data
 

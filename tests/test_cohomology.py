@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from zcenter import cohomology
 from zcenter.cohomology import (Cochain, CocycleError, coboundary, cochain_from_json,
                                 cochain_to_json, cup3, embed_modulus, gamma,
                                 is_coboundary, is_cocycle, load_cocycle,
@@ -599,3 +600,107 @@ def test_load_cocycle_file(tmp_path, C2cubed):
     path.write_text(json.dumps(cochain_to_json(w)))
     w2, corr = load_cocycle(C2cubed, str(path))
     assert w2 == w and corr is None
+
+
+def test_json_round_trip_every_degree(C4):
+    # entries come out in sorted index order, exactly as a sorted dict dump
+    rng = np.random.default_rng(11)
+    for k in range(4):
+        f = random_cochain(C4, k, 9, rng)
+        expected = sorted([list(t) + [v] for t, v in f.values.items()])
+        assert cochain_to_json(f)["entries"] == expected
+        assert cochain_from_json(C4, cochain_to_json(f))[0] == f
+    assert cochain_to_json(Cochain.zero(C4, 0, 9))["entries"] == []
+
+
+# -- the entry loader against the per-entry loop it replaced -----------
+
+def _reference_fill(n, k, N, entries):
+    """The per-entry loop the chunked loader replaced, kept as its oracle."""
+    dense = np.zeros((n,) * k, dtype=np.int64)
+    for entry in entries:
+        if not isinstance(entry, list) or len(entry) != k + 1:
+            raise ValueError(f"entry {entry!r} has wrong arity for degree {k}")
+        *idx, v = entry
+        if any(type(g) is not int or not 0 <= g < n for g in idx):
+            raise ValueError(f"element index out of range in entry {entry!r}")
+        if type(v) is not int:
+            raise ValueError(f"value in entry {entry!r} is not an integer")
+        dense[tuple(idx)] = v % N
+    return dense
+
+
+def _assert_loads_like_reference(G, k, N, entries):
+    """Same dense array as the reference loop, or the same message.
+
+    Indices avoid the identity (element 0 of a cyclic group), so no
+    normalization applies and the cochain's array is the filled one.
+    """
+    data = {"modulus": N, "degree": k, "entries": entries}
+    try:
+        want = _reference_fill(G.order, k, N, entries)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            cochain_from_json(G, data)
+        assert str(got.value) == str(e)
+        return
+    f, correction = cochain_from_json(G, data)
+    assert correction is None
+    assert f.dense.shape == want.shape
+    assert np.array_equal(f.dense, want)
+
+
+_WIDE_VALUES = [-2 ** 80, -2 ** 63, -2 ** 63 + 1, -1, 0, 6, 7, 13, 2 ** 31,
+                2 ** 63 - 1, 2 ** 63, 2 ** 70]
+
+
+@pytest.fixture(params=[3, None], ids=["chunk3", "chunk_default"])
+def chunk(request, monkeypatch):
+    """Run a test at a three-entry chunk, so that repeats and bad entries
+    fall across chunk boundaries, and at the loader's own chunk size."""
+    if request.param is not None:
+        monkeypatch.setattr(cohomology, "_ENTRY_CHUNK", request.param)
+    return cohomology._ENTRY_CHUNK
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_loader_matches_reference_on_random_entries(chunk, k):
+    G = make_cyclic(5)
+    rng = np.random.default_rng(100 + k)
+    for _ in range(20):
+        count = int(rng.integers(0, 40))
+        # four non-identity elements: repeated tuples are frequent
+        idx = rng.integers(1, 5, size=(count, k)).tolist()
+        vals = [int(v) for v in rng.integers(-50, 50, size=count)]
+        for i in rng.integers(0, max(count, 1), size=count // 4):
+            vals[i] = _WIDE_VALUES[int(rng.integers(len(_WIDE_VALUES)))]
+        entries = [row + [v] for row, v in zip(idx, vals)]
+        _assert_loads_like_reference(G, k, 7, entries)
+
+
+def test_loader_keeps_the_last_value_of_a_repeat(chunk):
+    G = make_cyclic(5)
+    # the repeat straddles the boundary between the first two chunks
+    filler = [[1, 2, 1]] * (chunk - 1)
+    entries = filler + [[3, 4, 5], [3, 4, 6]] + filler + [[3, 4, -2 ** 70]]
+    _assert_loads_like_reference(G, 2, 7, entries)
+    f, _ = cochain_from_json(G, {"modulus": 7, "degree": 2,
+                                 "entries": entries[:chunk + 1]})
+    assert f(3, 4) == 6
+    _assert_loads_like_reference(G, 0, 7, [[5], [2 ** 70]] * chunk + [[-1]])
+
+
+@pytest.mark.parametrize("bad", [
+    [True, 1, 1], [1, 1, True], [1, 1.0, 1], [1, 1, 1.5], [1, 1, None],
+    [None, 1, 1], [1, [1], 1], [1, 1, [1]], [1, 1], [1, 1, 1, 1], 5,
+    "1,1,1", [-1, 1, 1], [1, 5, 1], [2 ** 70, 1, 1], [1, -2 ** 70, 1],
+])
+def test_loader_names_the_first_bad_entry(chunk, bad):
+    G = make_cyclic(5)
+    good = [[1, 2, 3], [2, 3, -4]]
+    later_bad = [[1, 1, False], [1, 9, 1], [1]]
+    # alone, after chunks that pass the array checks, and followed by
+    # other bad entries
+    for entries in ([bad], good * chunk + [bad] + later_bad,
+                    good * (chunk // 2) + [[4, 4, 4]] + [bad] + later_bad):
+        _assert_loads_like_reference(G, 2, 7, entries)

@@ -365,6 +365,27 @@ def test_class_data_consistency(test_universe):
         assert int(cc.representatives[eclass]) == G.identity
 
 
+def test_classes_match_definition(S4, A5, D4, Q8, C3):
+    """Orbits under conjugation by the generators are the classes: each
+    class is {h^-1 g h : h in G}, numbered by its least element."""
+    back = np.roll(np.arange(24), -1)  # S4 with the identity renamed 23
+    S4_relabeled = FiniteGroup(_relabeled(S4.table, np.argsort(back)))
+    assert S4_relabeled.identity == 23
+    for G in (S4, A5, D4, Q8, direct_product(make_symmetric(3), C3),
+              S4_relabeled):
+        T = G.table
+        orbits = sorted({frozenset(int(T[T[G.inverse[h], g], h])
+                                   for h in range(G.order))
+                         for g in range(G.order)}, key=min)
+        cc = conjugacy_classes(G)
+        assert cc.count == len(orbits), G.label
+        for i, orbit in enumerate(orbits):
+            members = np.nonzero(cc.class_of == i)[0]
+            assert set(members.tolist()) == orbit, G.label
+            assert cc.representatives[i] == min(orbit)
+            assert cc.class_sizes[i] == len(orbit)
+
+
 def test_orbit_stabilizer(test_universe):
     for G in test_universe:
         cc = conjugacy_classes(G)
