@@ -57,10 +57,13 @@ class FiniteGroup:
 
     The table is validated on construction: two-sided identity, two-sided
     inverses, and associativity, which is exact at every order: Light's
-    test checks (gh)k = g(hk) for all h, k at each g of
-    `generating_sequence`, which decides it for every g.  A group table is
-    Latin, so the Latin check runs only on a table that fails one of these
-    or has more than log2 n greedy generators, and refuses it if not Latin.
+    test checks (gh)k = g(hk) for all h, k at each g of a generating set
+    (two elements where `_bfs` proves a pair generates), which decides it
+    for every g; only a failing table goes on to the greedy
+    `generating_sequence`, whose scan names the first failing triple.  A
+    group table is Latin, so the Latin check runs only on a table that
+    fails one of these or has more than log2 n greedy generators, and
+    refuses it if not Latin.
     """
 
     def __init__(self, table, label: str | None = None,
@@ -95,9 +98,10 @@ class FiniteGroup:
         T = self.table
         n = self.order
         ar = np.arange(n, dtype=np.int32)
-        id_rows = np.nonzero((T == ar).all(axis=1))[0]
-        ident = next((int(e) for e in id_rows
-                      if np.array_equal(T[:, e], ar)), None)
+        # a two-sided identity e has e*0 = 0, so only those rows are tried
+        ident = next((int(e) for e in np.nonzero(T[:, 0] == 0)[0]
+                      if np.array_equal(T[e], ar)
+                      and np.array_equal(T[:, e], ar)), None)
         if ident is None:
             self._refuse("table has no two-sided identity")
         self.identity = ident
@@ -137,18 +141,36 @@ class FiniteGroup:
         return int(self.inverse[g])
 
     def element_orders(self) -> np.ndarray:
+        """Orders of all elements, one prime of n at a time.
+
+        For p^a exactly dividing n, g^(n/p^a) has order the p-part of
+        ord(g) (Lagrange), found by taking p-th powers until every element
+        reaches e: O(log n) table gathers per prime.
+        """
         if "orders" not in self._cache:
             n = self.order
             T = self.table
-            ar = np.arange(n)
-            cur = ar.copy()
-            orders = np.zeros(n, dtype=np.int64)
-            orders[self.identity] = 1
-            k = 1
-            while (orders == 0).any():
-                k += 1
-                cur = T[cur, ar]
-                orders[(orders == 0) & (cur == self.identity)] = k
+
+            def powers(x, k):
+                # x**k elementwise by square-and-multiply on the table
+                acc = np.full(n, self.identity, dtype=np.int32)
+                while k:
+                    if k & 1:
+                        acc = T[acc, x]
+                    k >>= 1
+                    if k:
+                        x = T[x, x]
+                return acc
+
+            orders = np.ones(n, dtype=np.int64)
+            for p in _prime_factors(n):
+                m = n
+                while m % p == 0:
+                    m //= p
+                cur = powers(np.arange(n), m)
+                while (live := cur != self.identity).any():
+                    orders[live] *= p
+                    cur = powers(cur, p)
             self._cache["orders"] = orders
         return self._cache["orders"]
 
@@ -228,12 +250,12 @@ class GroupHom:
 
 
 def _is_hom(G: FiniteGroup, H: FiniteGroup, images: np.ndarray) -> bool:
-    """phi(gs) = phi(g)phi(s) for every g and every generator s.
+    """phi(gs) = phi(g)phi(s) for every g and every s of `_short_generators`.
 
     The s at which this holds for all g are closed under products, so
-    the generators decide it for the whole group.
+    any generating set decides it for the whole group.
     """
-    gens = generating_sequence(G)
+    gens = _short_generators(G)
     lhs = images[G.table[:, gens]]
     rhs = H.table[images[:, None], images[gens][None, :]]
     return bool(np.array_equal(lhs, rhs))
@@ -474,8 +496,10 @@ def quotient_group(G: FiniteGroup, normal) -> tuple[FiniteGroup, GroupHom]:
 def generating_sequence(G: FiniteGroup) -> list[int]:
     """Greedy minimal generating sequence (scan elements ascending).
 
-    Computed once per group and cached; every identity check runs at
-    these elements (see `_failure_certificate`).
+    Computed once per group and cached.  Homomorphism enumeration
+    backtracks over it, and an identity that fails at the short
+    generating set is scanned at it for its first failure (see
+    `_failure_certificate`).
     """
     if "gens" not in G._cache:
         gens: list[int] = []
@@ -493,6 +517,31 @@ def generating_sequence(G: FiniteGroup) -> list[int]:
     return G._cache["gens"]
 
 
+def _short_generators(G: FiniteGroup) -> list[int]:
+    """A generating set of G no longer than `generating_sequence`.
+
+    With c = g1*g2*...*gk and c' = gk*...*g1 over the greedy generators
+    g1..gk, the first pair (gi, c), then (gi, c'), that `_bfs` proves
+    generating; the greedy sequence itself if it has at most two
+    elements, if they commute pairwise (an abelian group needs its full
+    rank), or if no such pair generates.  Uses only `_bfs` and table
+    lookups, so it is sound on a table not yet known to be associative.
+    """
+    if "short_gens" not in G._cache:
+        gens = generating_sequence(G)
+        T = G.table
+        block = T[np.ix_(gens, gens)]
+        short = gens
+        if len(gens) > 2 and not np.array_equal(block, block.T):
+            c = c_rev = gens[0]
+            for g in gens[1:]:
+                c, c_rev = int(T[c, g]), int(T[g, c_rev])
+            short = next(([g, t] for t in (c, c_rev) for g in gens
+                          if len(_bfs(G, [g, t])) == G.order - 1), gens)
+        G._cache["short_gens"] = short
+    return G._cache["short_gens"]
+
+
 def _failure_certificate(G: FiniteGroup, slab) -> tuple | None:
     """The lexicographically first failure of an identity on G, or None.
 
@@ -500,11 +549,15 @@ def _failure_certificate(G: FiniteGroup, slab) -> tuple | None:
     fails on the tuples starting at g.  For an identity whose good g
     (zero slab) include e and are closed under products, as for
     associativity (Light's test; Clifford & Preston, Algebraic Theory of
-    Semigroups I, 1961) and the cocycle identity, the generators decide
-    it.  They also give the first failure: if m is the least bad g, the
-    greedy scan's generators below m are good, so all they generate is
-    good and the scan takes m itself, after no failing generator.
+    Semigroups I, 1961) and the cocycle identity, any generating set
+    decides it, so it runs at `_short_generators` first.  Only when one
+    of those fails does the greedy scan run, to name the first failure:
+    if m is the least bad g, the greedy generators below m are good, so
+    all they generate is good and the scan takes m itself, after no
+    failing generator.
     """
+    if not any(slab(s).any() for s in _short_generators(G)):
+        return None
     for s in generating_sequence(G):
         bad = slab(s)
         if bad.any():
@@ -517,7 +570,7 @@ def enumerate_homomorphisms(G: FiniteGroup, H: FiniteGroup) -> list[GroupHom]:
 
     Backtracks over images of a greedy generating sequence, pruned by
     element-order divisibility on generators and their pairwise
-    products; every candidate is verified exactly (`_is_hom`).
+    products; every candidate is verified exactly, once (`GroupHom`).
     """
     if G.order > FULL_CHECK_ORDER:
         raise ValueError(
@@ -549,8 +602,10 @@ def enumerate_homomorphisms(G: FiniteGroup, H: FiniteGroup) -> list[GroupHom]:
         if level == k:
             for (y, x, gi) in steps:
                 phi[y] = TH[phi[x], choice[gi]]
-            if _is_hom(G, H, phi):
+            try:  # GroupHom verifies the candidate exactly, once
                 out.append(GroupHom(G, H, phi.copy()))
+            except ValueError:
+                pass
             return
         for h in cand[level]:
             ok = True

@@ -3,6 +3,7 @@ products, and the obstruction 2-cocycle gamma."""
 
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from zcenter.cohomology import (Cochain, CocycleError, coboundary, cochain_from_
                                 is_coboundary, is_cocycle, load_cocycle,
                                 _delta_dense)
 from zcenter.group_core import (direct_product, make_cyclic, make_symmetric,
-                                centralizer, parse_group_spec, subgroup)
+                                centralizer, generating_sequence,
+                                parse_group_spec, subgroup,
+                                _short_generators)
 
 from conftest import (bilinear_cochain, pullback, random_cochain,
                       shifted, sign_cocycle)
@@ -266,6 +269,45 @@ def test_non_cocycle_certificates(C4, S3, S4):
         cert = is_cocycle(f).failure_certificate
         assert cert[0] == first
         assert cert == _first_failure(f, lambda *a: _delta_at(f, a))
+
+
+def _delta_reference(f):
+    """delta(f) mod N on every tuple at once, from the face formula."""
+    T, F, k = f.group.table, f.dense, f.degree
+    a = list(np.indices((f.group.order,) * (k + 1)))
+    total = F[tuple(a[1:])] + (-1) ** (k + 1) * F[tuple(a[:k])]
+    for i in range(k):
+        total += (-1) ** (i + 1) * F[tuple(a[:i] + [T[a[i], a[i + 1]]]
+                                           + a[i + 2:])]
+    return total % f.modulus
+
+
+def test_certificates_past_the_short_generators(S4):
+    """A coboundary on S4 plus a cochain p(x, ..) that depends only on
+    the right coset Hx and vanishes for x in H: delta's slabs at H
+    vanish, so the short set {1, c} of S4 fails only at c, and the first
+    failure is at the least element outside H, a greedy generator (2 for
+    H = {e, 1}, 6 for H = {0..5})."""
+    short, gens = _short_generators(S4), generating_sequence(S4)
+    assert short[0] == gens[0] == 1 and short[1] not in gens
+    T = S4.table
+    rng = np.random.default_rng(12)
+    for H, first in (([0, 1], 2), (list(range(6)), 6)):
+        coset = T[H].min(axis=0)  # least element of Hx; 0 iff x in H
+        for degree in (2, 3):
+            N = 3
+            base = coboundary(random_cochain(S4, degree - 1, N, rng))
+            q = random_cochain(S4, degree, N, rng).dense
+            q[0] = 0
+            f = Cochain(S4, degree, N, dense=base.dense + q[coset])
+            expected = tuple(int(x)
+                             for x in np.argwhere(_delta_reference(f))[0])
+            assert expected[0] == first
+            assert is_cocycle(f).failure_certificate == expected
+            with pytest.raises(CocycleError, match=(
+                    "input fails the cocycle identity at "
+                    + re.escape(str(expected)))):
+                is_coboundary(f)
 
 
 def test_cocycle_verdict_cached(C4):

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from zcenter import group_core
 from zcenter.group_core import (FiniteGroup, GroupHom, abelian_invariants,
                                 center, centralizer, commutator_subgroup,
                                 conjugacy_classes, direct_product,
@@ -14,7 +15,7 @@ from zcenter.group_core import (FiniteGroup, GroupHom, abelian_invariants,
                                 group_from_json, load_group, make_alternating,
                                 make_cyclic, make_symmetric, make_trivial,
                                 parse_group_spec, quotient_group, rep_classes,
-                                subgroup, _is_hom)
+                                subgroup, _is_hom, _short_generators)
 
 from oracles import brute_force_hom_images
 
@@ -250,6 +251,58 @@ def test_verdicts_match_reference_on_intercalate_swaps(S3, D4, Q8, A4):
                        "associativity fails"}
 
 
+def test_identity_found_among_candidate_rows():
+    """Only rows with g*0 = 0 are tried as the identity: tables with no
+    such row, with one that is not the identity, and with several keep
+    the reference verdict and message."""
+    S3 = make_symmetric(3)
+    e3 = _relabeled(S3.table, np.array([3, 1, 2, 0, 4, 5]))  # e renamed 3
+    tables = []
+    # Latin, one candidate row 0 that is not an identity: x - y mod 5
+    ar = np.arange(5)
+    tables.append((ar[:, None] - ar[None, :]) % 5)
+    # no candidate row at all: column 0 holds no 0
+    no_candidate = e3.copy()
+    no_candidate[:, 0] = 1
+    tables.append(no_candidate)
+    # several candidate rows, the identity (3) not the first of them
+    several = e3.copy()
+    several[[1, 2], 0] = 0
+    tables.append(several)
+    # several candidate rows, none of them an identity
+    several_none = several.copy()
+    several_none[3, 5] = 4
+    tables.append(several_none)
+    assert [int((T[:, 0] == 0).sum()) for T in tables] == [1, 0, 3, 3]
+    for T in tables:
+        assert _verdict(T) == _reference_verdict(T), T.tolist()
+    assert _verdict(tables[0]) == ("error", "table has no two-sided identity")
+    assert FiniteGroup(e3).identity == 3
+
+
+def test_associativity_certificate_past_the_short_generators(S4):
+    """Intercalate swaps of S4 whose first failing triple starts at the
+    greedy generator 2, outside the short set {1, c}: 1 associates with
+    everything, so the short set fails only at its product c, and the
+    greedy scan still names the brute-force first failure."""
+    T = S4.table
+    short, gens = _short_generators(S4), generating_sequence(S4)
+    assert short[0] == gens[0] and short[1] not in gens
+    involutions = [t for t in range(S4.order)
+                   if t != S4.identity and T[t, t] == S4.identity]
+    firsts = set()
+    for a, c, t in itertools.product(range(S4.order), range(S4.order),
+                                     involutions):
+        at, d = T[a, t], T[t, c]
+        bad = T.copy()
+        bad[[a, a, at, at], [c, d, c, d]] = T[[a, a, at, at], [d, c, d, c]]
+        want = _reference_verdict(bad)
+        assert _verdict(bad) == want, (a, c, t)
+        if want[0] == "error" and want[1].startswith("associativity"):
+            firsts.add(int(want[1].split("(")[1].split(",")[0]))
+    assert firsts == {1, 2}
+
+
 def test_non_latin_table_with_many_greedy_generators_is_refused_fast():
     """Identity 0 and g*h = 0 for g, h >= 1: the identity and inverse
     checks pass, and every element but 0 would be a greedy generator.  A
@@ -327,6 +380,28 @@ def test_handbuilt_dihedral_quaternion(D4, Q8):
     # Q8 has a unique element of order 2; D4 has five
     assert int((Q8.element_orders() == 2).sum()) == 1
     assert int((D4.element_orders() == 2).sum()) == 5
+
+
+def _reference_orders(G):
+    """One table step per power until every element reaches e."""
+    ar = np.arange(G.order)
+    cur = ar.copy()
+    orders = np.zeros(G.order, dtype=np.int64)
+    orders[G.identity] = 1
+    k = 1
+    while (orders == 0).any():
+        k += 1
+        cur = G.table[cur, ar]
+        orders[(orders == 0) & (cur == G.identity)] = k
+    return orders
+
+
+def test_element_orders_match_stepwise_powers(test_universe, perm_groups):
+    S7, A7 = perm_groups[2], perm_groups[5]
+    for G in test_universe + [S7, A7, parse_group_spec("C10000")]:
+        got, want = G.element_orders(), _reference_orders(G)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want), G.label
 
 
 def test_power_and_power_table(S4):
@@ -542,6 +617,99 @@ def test_generating_sequence(test_universe):
         assert len(gens) <= max(1, G.order.bit_length())
 
 
+def _generated(G, gens):
+    """Mask of the closure of {e} under right multiplication by gens."""
+    reached = np.zeros(G.order, dtype=bool)
+    reached[G.identity] = True
+    while True:
+        grown = reached.copy()
+        grown[G.table[np.ix_(np.nonzero(reached)[0], gens)]] = True
+        if np.array_equal(grown, reached):
+            return reached
+        reached = grown
+
+
+@pytest.fixture(scope="module")
+def perm_groups(S5, A5):
+    """S5, S6, S7, A5, A6, A7."""
+    return [S5, make_symmetric(6), make_symmetric(7),
+            A5, make_alternating(6), make_alternating(7)]
+
+
+def test_short_generators(test_universe, perm_groups):
+    """The short set generates G, is never longer than the greedy
+    sequence, and has two elements on S4-S7 and A5-A7.  S3xC2xC2 needs
+    three generators, and no candidate pair generates the centralizers
+    of order 48 in S7, so those keep the greedy sequence."""
+    S7 = perm_groups[2]
+    centralizers = [subgroup(S7, centralizer(S7, [int(r)]))[0]
+                    for r in conjugacy_classes(S7).representatives]
+    S3xC2xC2 = direct_product(make_symmetric(3),
+                              direct_product(make_cyclic(2), make_cyclic(2)))
+    kept = []
+    for G in test_universe + perm_groups + centralizers + [S3xC2xC2]:
+        short, gens = _short_generators(G), generating_sequence(G)
+        assert _generated(G, short).all(), G.label
+        assert len(short) <= len(gens)
+        if G.label in ("S4", "S5", "S6", "S7", "A5", "A6", "A7"):
+            assert len(short) == 2, G.label
+        if len(gens) > 2 and not G.is_abelian():
+            assert len(short) == 2 or short == gens
+            if short == gens:
+                kept.append(G.order)
+    assert kept == [48, 48, 24]
+
+
+def test_light_test_on_s7_runs_two_slabs(monkeypatch):
+    slabs = []
+    real = group_core._failure_certificate
+
+    def counting(G, slab):
+        def counted(g):
+            slabs.append(g)
+            return slab(g)
+        return real(G, counted)
+
+    monkeypatch.setattr(group_core, "_failure_certificate", counting)
+    S7 = make_symmetric(7)
+    assert slabs == _short_generators(S7)
+    assert len(slabs) == 2 < len(generating_sequence(S7)) == 6
+
+
+def test_normality_and_hom_checks_past_the_short_generators(S4):
+    """Failures that the short set {1, c} of S4 sees only at c: a
+    subgroup normalized by 1 (and by 2) but not by all of S4, and maps
+    multiplicative at every s of H = {0..5} = <1, 2> but not on S4."""
+    T, inv = S4.table, S4.inverse
+    for N, first in (([0, 1], 2), (list(range(6)), 6)):
+        g, n = next((g, n) for g in range(S4.order) for n in N
+                    if T[T[inv[g], n], g] not in N)
+        assert g == first
+        image = int(T[T[inv[g], n], g])
+        with pytest.raises(ValueError, match=(
+                rf"^subgroup is not normal: witness pair \(g={g}, n={n}\) "
+                rf"with g\^-1\*n\*g = {image} outside$")):
+            quotient_group(S4, N)
+    # phi(r a) = y_r a on the left cosets r H, with y_e = e
+    rng = np.random.default_rng(24)
+    H = list(range(6))
+    reps = sorted({int(T[g, H].min()) for g in range(S4.order)})
+    for _ in range(10):
+        y = {r: (int(rng.integers(0, S4.order)) if r else 0) for r in reps}
+        phi = np.empty(S4.order, dtype=np.int32)
+        for r in reps:
+            phi[T[r, H]] = T[y[r], H]
+        assert all(phi[T[g, s]] == T[phi[g], phi[s]]
+                   for g in range(S4.order) for s in H)
+        definition = np.array_equal(
+            phi[T], T[phi[:, None], phi[None, :]])
+        assert _is_hom(S4, S4, phi) == definition
+        if not definition:
+            with pytest.raises(ValueError,
+                               match="^images do not define a homomorphism$"):
+                GroupHom(S4, S4, phi)
+
+
 # -- homomorphisms -----------------------------------------------------
 
 def test_hom_validation(S3, C2):
@@ -609,6 +777,25 @@ def test_hom_enumeration_matches_brute_force(S3, C2, C4, C2xC2):
         fancy = {tuple(int(x) for x in a.images)
                  for a in enumerate_homomorphisms(G, H)}
         assert fancy == brute
+
+
+def test_each_enumerated_candidate_verified_once(monkeypatch, S3, S4, D4):
+    checked = []
+    real = group_core._is_hom
+
+    def recording(G, H, images):
+        checked.append(tuple(int(x) for x in images))
+        return real(G, H, images)
+
+    monkeypatch.setattr(group_core, "_is_hom", recording)
+    for G, H in ((S3, S3), (S4, S3), (D4, S4)):
+        checked.clear()
+        homs = enumerate_homomorphisms(G, H)
+        assert len(checked) == len(set(checked))
+        assert [h.key() for h in homs] == [
+            key for key in checked
+            if np.array_equal(np.array(key)[G.table],
+                              H.table[np.ix_(key, key)])]
 
 
 def test_rep_classes(S3, C2):

@@ -179,6 +179,24 @@ def test_report_verifies_omega_once_and_never_solves(monkeypatch):
     assert sum(o.vanishes for o in report.obstructions) == 2
 
 
+def test_report_on_s5_verifies_omega_at_two_generators(monkeypatch, S5):
+    """On S5 omega's cocycle identity is checked at a two-element
+    generating set, not at the four greedy generators."""
+    omega = shifted(sign_cocycle(S5), np.random.default_rng(60))
+    slabs = []
+    real_slab = cohomology._delta_slab
+
+    def counting_slab(F, T, g, degree, out=None):
+        if degree == 3:
+            slabs.append(g)
+        return real_slab(F, T, g, degree, out)
+
+    monkeypatch.setattr(cohomology, "_delta_slab", counting_slab)
+    report = center_report(cat(S5, omega))
+    assert len(slabs) == 2 < len(generating_sequence(S5)) == 4
+    assert len(report.obstructions) == 7
+
+
 def test_abelian_report_computes_classes_of_one_group(monkeypatch):
     """On an abelian group every profile takes the fast path, which needs
     no conjugacy classes of the 32 centralizers."""
