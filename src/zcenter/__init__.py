@@ -28,7 +28,6 @@ from .group_core import (  # noqa: F401
     quotient_group,
     subgroup,
     enumerate_homomorphisms,
-    rep_classes,
     abelian_invariants,
     load_group,
     parse_group_spec,

@@ -15,8 +15,8 @@ from math import lcm
 
 import numpy as np
 
-from .group_core import (FiniteGroup, GroupHom, centralizer,
-                         conjugacy_classes, enumerate_homomorphisms)
+from .group_core import (_BLOCK_CELLS, FiniteGroup, GroupHom,
+                         _hom_batches, centralizer, conjugacy_classes)
 
 __all__ = [
     "ConjugacyTypeResult",
@@ -46,31 +46,38 @@ def conjugacy_types(G: FiniteGroup) -> ConjugacyTypeResult:
     """All residues n with some endomorphism of conjugacy type n.
 
     Witness per residue: the first endomorphism (enumeration order)
-    realizing it.  Each witness is re-verified element by element
-    against the defining condition before being returned.
+    realizing it.  Each verified batch of `_hom_batches` is matched
+    against every residue still without a witness at once, and the
+    enumeration stops once every residue has one.  Each witness is
+    re-verified element by element against the defining condition
+    before being returned.
     """
     exp = G.exponent()
     cls = conjugacy_classes(G).class_of
     P = G.power_table(exp)
     # M[n, g] = class of g^n
     M = cls[P.T]
-    types = set()
     witnesses = {}
-    for alpha in enumerate_homomorphisms(G, G):
-        hit = (M == cls[alpha.images][None, :]).all(axis=1)
-        for n in np.nonzero(hit)[0]:
-            n = int(n)
-            if n not in types:
-                types.add(n)
-                witnesses[n] = alpha
-        if len(types) == exp:
+    todo = np.arange(exp)  # residues without a witness, ascending
+    # rows of a batch per comparison, within the enumeration's budget
+    step = max(1, _BLOCK_CELLS // (exp * G.order))
+    for rows in (batch[a:a + step] for batch in _hom_batches(G, G)
+                 for a in range(0, len(batch), step)):
+        hit = (cls[rows][:, None, :] == M[None, todo, :]).all(axis=2)
+        found = hit.any(axis=0)
+        for col in np.nonzero(found)[0]:
+            witnesses[int(todo[col])] = GroupHom._verified(
+                G, G, rows[hit[:, col].argmax()])
+        todo = todo[~found]
+        if not len(todo):
             break
     for n, alpha in witnesses.items():
         for g in range(G.order):
             if cls[alpha(g)] != cls[G.power(g, n)]:
                 raise AssertionError(
                     f"witness for type {n} fails at element {g}")
-    return ConjugacyTypeResult(group=G, types=types, witnesses=witnesses)
+    return ConjugacyTypeResult(group=G, types=set(witnesses),
+                               witnesses=witnesses)
 
 
 def band_center_families(universe) -> set:

@@ -229,7 +229,7 @@ def is_cocycle(f: Cochain) -> CohomologyClassVerdict:
 
     def delta_at(g):
         _delta_slab(f.dense, f.group.table, g, f.degree, out=slab)
-        return np.remainder(slab, f.modulus, out=slab)
+        return [np.remainder(slab, f.modulus, out=slab)]
 
     cert = _failure_certificate(f.group, delta_at)
     verdict = CohomologyClassVerdict(is_cocycle=cert is None,

@@ -38,7 +38,6 @@ __all__ = [
     "subgroup",
     "generating_sequence",
     "enumerate_homomorphisms",
-    "rep_classes",
     "abelian_invariants",
     "group_from_json",
     "load_group",
@@ -50,6 +49,10 @@ FULL_CHECK_ORDER = 512
 # Hard memory guard: an order-10000 int32 table is ~400 MB; S8 (40320)
 # would need ~6.5 GB and is rejected outright.
 MAX_TABLE_ORDER = 10000
+# Cells of the largest temporary that a pass over table rows or the
+# homomorphism enumeration builds at once: no temporary grows with the
+# table or with the number of candidates
+_BLOCK_CELLS = 1 << 18
 
 
 class FiniteGroup:
@@ -74,10 +77,7 @@ class FiniteGroup:
         n = table.shape[0]
         if n == 0:
             raise ValueError("empty table")
-        if n > MAX_TABLE_ORDER:
-            raise ValueError(
-                f"table of order {n} exceeds the supported maximum "
-                f"{MAX_TABLE_ORDER} (memory guard)")
+        _check_table_order(n)
         # checked before the int32 cast, which would truncate or wrap
         if table.dtype.kind not in "iu":
             raise ValueError(
@@ -106,17 +106,17 @@ class FiniteGroup:
             self._refuse("table has no two-sided identity")
         self.identity = ident
         # rows need not be Latin: take any e in each row, check both sides
-        inv = np.argmax(T == ident, axis=1).astype(np.int32)
+        b = max(1, _BLOCK_CELLS // n)  # rows per block
+        inv = np.concatenate([np.argmax(T[a:a + b] == ident, axis=1)
+                              for a in range(0, n, b)]).astype(np.int32)
         if not ((T[ar, inv] == ident).all() and (T[inv, ar] == ident).all()):
             self._refuse("table has an element without a two-sided inverse")
         self.inverse = inv
         def light(g):
-            # (gh)k against g(hk) over all h, k, in blocks of rows h so
-            # that no temporary is as large as the table
+            # (gh)k against g(hk) over all h, k, in blocks of rows h
             Tg = T[g]
-            return np.concatenate([
-                np.take(T, Tg[a:a + 256], axis=0) != np.take(Tg, T[a:a + 256])
-                for a in range(0, n, 256)])
+            return (np.take(T, Tg[a:a + b], axis=0) != np.take(Tg, T[a:a + b])
+                    for a in range(0, n, b))
 
         cert = _failure_certificate(self, light)
         if cert is not None:
@@ -238,6 +238,13 @@ class GroupHom:
         if not _is_hom(source, target, self.images):
             raise ValueError("images do not define a homomorphism")
 
+    @classmethod
+    def _verified(cls, source: FiniteGroup, target: FiniteGroup, images):
+        """Wrap an int32 image array that `_is_hom` has accepted."""
+        hom = cls.__new__(cls)
+        hom.source, hom.target, hom.images = source, target, images
+        return hom
+
     def __call__(self, g: int) -> int:
         return int(self.images[g])
 
@@ -249,19 +256,31 @@ class GroupHom:
                 f"{self.key()})")
 
 
-def _is_hom(G: FiniteGroup, H: FiniteGroup, images: np.ndarray) -> bool:
+def _is_hom(G: FiniteGroup, H: FiniteGroup, images: np.ndarray):
     """phi(gs) = phi(g)phi(s) for every g and every s of `_short_generators`.
 
     The s at which this holds for all g are closed under products, so
-    any generating set decides it for the whole group.
+    any generating set decides it for the whole group.  `images` is one
+    image array or a (..., |G|) stack of them; the verdicts have the
+    stack's shape.
     """
     gens = _short_generators(G)
-    lhs = images[G.table[:, gens]]
-    rhs = H.table[images[:, None], images[gens][None, :]]
-    return bool(np.array_equal(lhs, rhs))
+    lhs = images[..., G.table[:, gens]]
+    rhs = H.table[images[..., :, None], images[..., None, gens]]
+    return (lhs == rhs).all(axis=(-2, -1))
 
 
 # -- constructors ------------------------------------------------------
+
+def _check_table_order(n: int) -> int:
+    """n, if an n x n table is within the memory guard; checked by the
+    constructors before they allocate a table."""
+    if n > MAX_TABLE_ORDER:
+        raise ValueError(
+            f"table of order {n} exceeds the supported maximum "
+            f"{MAX_TABLE_ORDER} (memory guard)")
+    return n
+
 
 def make_trivial() -> FiniteGroup:
     return FiniteGroup([[0]], label="C1", cyclic_factors=(1,))
@@ -271,17 +290,19 @@ def make_cyclic(n: int) -> FiniteGroup:
     """Z/n with table[a][b] = a+b mod n."""
     if n < 1:
         raise ValueError(f"cyclic group order must be >= 1, got {n}")
-    ar = np.arange(n, dtype=np.int32)
-    table = (ar[:, None] + ar[None, :]) % n
-    return FiniteGroup(table, label=f"C{n}", cyclic_factors=(n,))
+    ar = np.arange(_check_table_order(n), dtype=np.int32)
+    table = ar[:, None] + ar[None, :]
+    return FiniteGroup(np.remainder(table, n, out=table), label=f"C{n}",
+                       cyclic_factors=(n,))
 
 
 def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
     """Componentwise product; element (a, b) gets index a*|B| + b."""
     m = B.order
-    TA = np.repeat(np.repeat(A.table, m, axis=0), m, axis=1).astype(np.int64)
-    TB = np.tile(B.table, (A.order, A.order))
-    table = TA * m + TB
+    n = _check_table_order(A.order * m)
+    # table[(a, b), (c, d)] = (ac)*|B| + bd, built once as int32
+    table = (A.table[:, None, :, None] * np.int32(m)
+             + B.table[None, :, None, :]).reshape(n, n)
     factors = None
     if A.cyclic_factors is not None and B.cyclic_factors is not None:
         factors = A.cyclic_factors + B.cyclic_factors
@@ -298,6 +319,10 @@ def _perm_group(perms: list[tuple[int, ...]], label: str) -> FiniteGroup:
     index = np.zeros(m ** m, dtype=np.int32)
     index[P @ weights] = np.arange(n, dtype=np.int32)
     table = np.empty((n, n), dtype=np.int32)
+    # new rows per gather: with 2^15 cells the allocator reuses the
+    # temporaries' memory; 2^16 and up page-faulted them afresh and
+    # doubled the time of S7's table
+    b = max(1, (1 << 15) // n)
     built = np.zeros(n, dtype=bool)
     seeds: list[int] = []
     while not built.all():
@@ -314,7 +339,9 @@ def _perm_group(perms: list[tuple[int, ...]], label: str) -> FiniteGroup:
                 new = table[t, frontier]
                 fresh = ~built[new]
                 new, ks = np.unique(new[fresh], return_index=True)
-                table[new] = np.take(table[t], table[frontier[fresh][ks]])
+                ks = frontier[fresh][ks]
+                for a in range(0, len(new), b):
+                    table[new[a:a + b]] = np.take(table[t], table[ks[a:a + b]])
                 built[new] = True
                 found.append(new)
             frontier = np.concatenate(found)
@@ -411,12 +438,18 @@ def _bfs(G: FiniteGroup, gens) -> np.ndarray:
     Breadth-first from the identity by right multiplication, so the rows
     reach every product of generators but the identity, parents first.
     """
+    return np.concatenate([np.empty((0, 3), dtype=np.int64),
+                           *_bfs_layers(G, gens)])
+
+
+def _bfs_layers(G: FiniteGroup, gens) -> list[np.ndarray]:
+    """The rows of `_bfs`, one array per distance from the identity."""
     gens = np.asarray(gens, dtype=np.int64)
     k = len(gens)
     seen = np.zeros(G.order, dtype=bool)
     seen[G.identity] = True
     frontier = np.array([G.identity])
-    rows = [np.empty((0, 3), dtype=np.int64)]
+    layers = []
     while len(frontier) and k:
         cand = G.table[np.ix_(frontier, gens)].ravel()
         first = np.unique(cand, return_index=True)[1]
@@ -424,8 +457,9 @@ def _bfs(G: FiniteGroup, gens) -> np.ndarray:
         parents = frontier[first // k]
         frontier = cand[first]
         seen[frontier] = True
-        rows.append(np.column_stack([frontier, parents, first % k]))
-    return np.concatenate(rows)
+        if len(frontier):
+            layers.append(np.column_stack([frontier, parents, first % k]))
+    return layers
 
 
 def commutator_subgroup(G: FiniteGroup) -> tuple[int, ...]:
@@ -474,7 +508,7 @@ def quotient_group(G: FiniteGroup, normal) -> tuple[FiniteGroup, GroupHom]:
     inv = G.inverse
     Na = np.array(N, dtype=np.int32)
     cert = _failure_certificate(
-        G, lambda g: ~np.isin(T[T[inv[g], Na], g], Na))
+        G, lambda g: [~np.isin(T[T[inv[g], Na], g], Na)])
     if cert is not None:
         g, bad = cert[0], int(Na[cert[1]])
         raise ValueError(
@@ -545,9 +579,11 @@ def _short_generators(G: FiniteGroup) -> list[int]:
 def _failure_certificate(G: FiniteGroup, slab) -> tuple | None:
     """The lexicographically first failure of an identity on G, or None.
 
-    `slab(g)` is an array that is nonzero exactly where the identity
-    fails on the tuples starting at g.  For an identity whose good g
-    (zero slab) include e and are closed under products, as for
+    `slab(g)` gives, as consecutive blocks of rows (any iterable of
+    arrays), an array that is nonzero exactly where the identity fails
+    on the tuples starting at g; blocks after a failing one are not
+    read.  For an identity whose good g (zero slab) include e and are
+    closed under products, as for
     associativity (Light's test; Clifford & Preston, Algebraic Theory of
     Semigroups I, 1961) and the cocycle identity, any generating set
     decides it, so it runs at `_short_generators` first.  Only when one
@@ -556,21 +592,49 @@ def _failure_certificate(G: FiniteGroup, slab) -> tuple | None:
     all they generate is good and the scan takes m itself, after no
     failing generator.
     """
-    if not any(slab(s).any() for s in _short_generators(G)):
+    if all(_first_nonzero(slab(s)) is None for s in _short_generators(G)):
         return None
     for s in generating_sequence(G):
-        bad = slab(s)
+        first = _first_nonzero(slab(s))
+        if first is not None:
+            return (s,) + first
+    return None
+
+
+def _first_nonzero(blocks) -> tuple | None:
+    """Index of the first nonzero entry of the row blocks' concatenation."""
+    offset = 0
+    for bad in blocks:
         if bad.any():
-            return (s,) + tuple(int(x) for x in np.argwhere(bad)[0])
+            first = np.argwhere(bad)[0]
+            return (offset + int(first[0]),) + tuple(int(x) for x in first[1:])
+        offset += len(bad)
     return None
 
 
 def enumerate_homomorphisms(G: FiniteGroup, H: FiniteGroup) -> list[GroupHom]:
     """All homomorphisms G -> H, lexicographic in generator images.
 
-    Backtracks over images of a greedy generating sequence, pruned by
-    element-order divisibility on generators and their pairwise
-    products; every candidate is verified exactly, once (`GroupHom`).
+    The order and the exact check, once per candidate, are those of
+    `_hom_batches`.
+    """
+    return [GroupHom._verified(G, H, images)
+            for batch in _hom_batches(G, H) for images in batch]
+
+
+def _hom_batches(G: FiniteGroup, H: FiniteGroup):
+    """Yield every homomorphism G -> H as rows of (m, |G|) image arrays.
+
+    Candidates are tuples of images of the greedy generating sequence,
+    in lexicographic order, in which each image, and each product of two
+    images, has an order dividing that of its generator or product of
+    generators; the filters act on a whole level of prefixes at once.
+    A candidate's images are filled one distance of
+    `_bfs` from the identity at a time, with one gather per distance, and
+    each batch is checked exactly, once per candidate, by one call of
+    `_is_hom`; the batches come out in candidate order.  Prefixes are
+    extended in chunks, so no temporary exceeds a fixed multiple of
+    `_BLOCK_CELLS` cells, whatever the number of candidates.
     """
     if G.order > FULL_CHECK_ORDER:
         raise ValueError(
@@ -582,66 +646,41 @@ def enumerate_homomorphisms(G: FiniteGroup, H: FiniteGroup) -> list[GroupHom]:
             "enumeration declined")
     ordG = G.element_orders()
     ordH = H.element_orders()
-    steps = _bfs(G, gens).tolist()
     TG, TH = G.table, H.table
-    k = len(gens)
-    cand = [np.nonzero(ordG[g] % ordH == 0)[0].astype(np.int32) for g in gens]
-    # pairwise filter: order of phi(g_a)phi(g_b) must divide order of g_a g_b
-    pair_ok = {}
-    for a in range(k):
-        for b in range(k):
-            o = ordG[TG[gens[a], gens[b]]]
-            pair_ok[(a, b)] = (o % ordH[TH] == 0)
+    k, n = len(gens), G.order
+    cand = [np.nonzero(ordG[g] % ordH == 0)[0] for g in gens]
+    layers = [(rows[:, 0], rows[:, 1], rows[:, 2])
+              for rows in _bfs_layers(G, gens)]
+    per_check = max(1, _BLOCK_CELLS
+                    // (n * max(1, len(_short_generators(G)))))
 
-    out: list[GroupHom] = []
-    phi = np.empty(G.order, dtype=np.int32)
-    phi[G.identity] = H.identity
-    choice = [0] * k
-
-    def descend(level: int):
+    def extend(prefix, level):
         if level == k:
-            for (y, x, gi) in steps:
-                phi[y] = TH[phi[x], choice[gi]]
-            try:  # GroupHom verifies the candidate exactly, once
-                out.append(GroupHom(G, H, phi.copy()))
-            except ValueError:
-                pass
+            for a in range(0, len(prefix), per_check):
+                choice = prefix[a:a + per_check]
+                phi = np.empty((len(choice), n), dtype=np.int32)
+                phi[:, G.identity] = H.identity
+                for ys, xs, gis in layers:
+                    phi[:, ys] = TH[phi[:, xs], choice[:, gis]]
+                ok = _is_hom(G, H, phi)
+                if ok.any():
+                    yield phi[ok]
             return
-        for h in cand[level]:
-            ok = True
-            for a in range(level):
-                if not (pair_ok[(a, level)][choice[a], h]
-                        and pair_ok[(level, a)][h, choice[a]]):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            choice[level] = int(h)
-            descend(level + 1)
+        c = cand[level]
+        step = max(1, _BLOCK_CELLS // (len(c) * (level + 1)))
+        for a in range(0, len(prefix), step):
+            p = prefix[a:a + step]
+            keep = np.ones((len(p), len(c)), dtype=bool)
+            for b in range(level):
+                # ord(phi(g_b)phi(g)) | ord(g_b g); g g_b is conjugate to
+                # g_b g, so the products in the other order add nothing
+                o = ordG[TG[gens[b], gens[level]]]
+                keep &= o % ordH[TH[p[:, b, None], c]] == 0
+            i, j = np.nonzero(keep)  # row-major, so still lexicographic
+            if len(i):
+                yield from extend(np.column_stack([p[i], c[j]]), level + 1)
 
-    descend(0)
-    return out
-
-
-def rep_classes(G: FiniteGroup, H: FiniteGroup) -> list[list[GroupHom]]:
-    """Hom(G,H) partitioned into H-conjugacy classes."""
-    homs = enumerate_homomorphisms(G, H)
-    by_key = {hom.key(): i for i, hom in enumerate(homs)}
-    TH, invH = H.table, H.inverse
-    assigned = [-1] * len(homs)
-    classes: list[list[GroupHom]] = []
-    for i, hom in enumerate(homs):
-        if assigned[i] >= 0:
-            continue
-        cls = []
-        for h in range(H.order):
-            conj = TH[TH[h, hom.images], invH[h]]
-            j = by_key[tuple(int(x) for x in conj)]
-            if assigned[j] < 0:
-                assigned[j] = len(classes)
-                cls.append(homs[j])
-        classes.append(cls)
-    return classes
+    yield from extend(np.empty((1, 0), dtype=np.int64), 0)
 
 
 # -- abelian invariants ------------------------------------------------

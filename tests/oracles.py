@@ -338,15 +338,45 @@ def oracle_lift_count(G: FiniteGroup, omega, multiplicities) -> int:
 
 # -- exhaustive homomorphism oracle ------------------------------------
 
-def brute_force_hom_images(G: FiniteGroup, H: FiniteGroup):
-    """All hom image arrays by scanning every function G -> H."""
+def brute_force_hom_images(G: FiniteGroup, H: FiniteGroup, gens=None):
+    """All hom image arrays by scanning every function G -> H.
+
+    With `gens`, a generating set of G, it scans instead every tuple of
+    their images in H, in lexicographic order: each extends along words
+    in `gens` (found by a plain queue) to one function, kept if it
+    satisfies phi(gh) = phi(g)phi(h) on all |G|^2 pairs.  A hom is
+    determined by its images at generators, so this too finds every
+    hom, in lexicographic order of those images.
+    """
     n, m = G.order, H.order
+    TG, TH = G.table, H.table
+    if gens is not None:
+        word = {G.identity: None}  # element -> (prefix element, gen index)
+        queue = [G.identity]
+        for x in queue:
+            for i, s in enumerate(gens):
+                y = int(TG[x, s])
+                if y not in word:
+                    word[y] = (x, i)
+                    queue.append(y)
+        assert len(word) == n, "gens do not generate G"
+        k = len(gens)
+        tuples = np.array(list(itertools.product(range(m), repeat=k)),
+                          dtype=np.int32).reshape(m ** k, k)
+        F = np.empty((len(tuples), n), dtype=np.int32)
+        F[:, G.identity] = H.identity
+        for y in queue[1:]:
+            x, i = word[y]
+            F[:, y] = TH[F[:, x], tuples[:, i]]
+        ok = np.ones(len(F), dtype=bool)
+        for g in range(n):
+            ok &= (TH[F[:, g, None], F] == F[:, TG[g]]).all(axis=1)
+        return [tuple(int(x) for x in row) for row in F[ok]]
     total = m ** n
     if total > 2 * 10 ** 6:
         raise ValueError(f"{total} candidate maps is too many to scan")
     F = np.array(list(itertools.product(range(m), repeat=n)), dtype=np.int32)
     ok = np.ones(len(F), dtype=bool)
-    TG, TH = G.table, H.table
     for g in range(n):
         for h in range(n):
             ok &= TH[F[:, g], F[:, h]] == F[:, TG[g, h]]

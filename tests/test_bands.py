@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from zcenter import bands
 from zcenter.bands import (band_center_families, centralizer_of_hom,
                            conjugacy_types)
 from zcenter.group_core import (GroupHom, center, conjugacy_classes,
-                                enumerate_homomorphisms, make_cyclic,
-                                make_symmetric)
+                                enumerate_homomorphisms, make_alternating,
+                                make_cyclic, make_symmetric,
+                                parse_group_spec)
 
 from oracles import brute_force_hom_images
 
@@ -82,6 +84,43 @@ def test_s5_types(S5):
     assert res.modulus == 60
     assert res.types == {0} | {n for n in range(60) if math.gcd(n, 60) == 1}
     assert 2 not in res.types and 3 not in res.types
+
+
+def test_s5_a6_types_and_first_witnesses(S5):
+    """Types of S5 and A6 (0 and the units mod 60 on both), each witnessed
+    by the first endomorphism in `enumerate_homomorphisms` order that
+    realizes it."""
+    want = {0} | {n for n in range(60) if math.gcd(n, 60) == 1}
+    for G in (S5, make_alternating(6)):
+        res = conjugacy_types(G)
+        assert res.types == want, G.label
+        cls = conjugacy_classes(G).class_of
+        M = cls[G.power_table(G.exponent()).T]
+        first = {}
+        for alpha in enumerate_homomorphisms(G, G):
+            for n in np.nonzero((M == cls[alpha.images]).all(axis=1))[0]:
+                first.setdefault(int(n), alpha.key())
+        assert set(first) == want
+        assert {n: a.key() for n, a in res.witnesses.items()} == first
+
+
+def test_types_stop_once_every_residue_has_a_witness(monkeypatch):
+    """On C2^4 both residues are found within the first 4,681 of the
+    65,536 candidates, so the batches are not read to the end."""
+    read = []
+    real = bands._hom_batches
+
+    def counting(G, H):
+        for batch in real(G, H):
+            read.append(len(batch))
+            yield batch
+        read.append(None)  # the generator was exhausted
+
+    monkeypatch.setattr(bands, "_hom_batches", counting)
+    res = conjugacy_types(parse_group_spec("C2xC2xC2xC2"))
+    assert res.types == {0, 1}
+    assert read and None not in read
+    assert sum(read) < 2 ** 16
 
 
 def test_hom_count_s3(S3):

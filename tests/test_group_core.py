@@ -3,6 +3,7 @@
 import itertools
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from zcenter.group_core import (FiniteGroup, GroupHom, abelian_invariants,
                                 enumerate_homomorphisms, generating_sequence,
                                 group_from_json, load_group, make_alternating,
                                 make_cyclic, make_symmetric, make_trivial,
-                                parse_group_spec, quotient_group, rep_classes,
-                                subgroup, _is_hom, _short_generators)
+                                parse_group_spec, quotient_group, subgroup,
+                                _hom_batches, _is_hom, _short_generators)
 
 from oracles import brute_force_hom_images
 
@@ -155,6 +156,60 @@ def test_rejects_intercalate_swapped_s6():
                    str(err.value).rsplit("(", 1)[1].rstrip(")").split(","))
         assert bad[bad[g, h], k] != bad[g, bad[h, k]]
         refused += 1
+
+
+def test_row_blocks_past_the_first_block():
+    """Inverses and Light's slabs are read in blocks of rows: on S6 (720
+    rows, 364 per block) the inverses match a whole-table search, and
+    each refused intercalate swap names the first failing (h, k) of its
+    whole slab at the first failing greedy generator, some of them past
+    the first block."""
+    S6 = make_symmetric(6)
+    T, e = S6.table, S6.identity
+    assert np.array_equal(S6.inverse, np.argwhere(T == e)[:, 1])
+    involutions = [t for t in range(S6.order) if t != e and T[t, t] == e]
+    rng = np.random.default_rng(256)
+    hs = []
+    while len(hs) < 6:
+        a = int(rng.integers(400, S6.order))
+        c = int(rng.integers(0, S6.order))
+        t = int(rng.choice(involutions))
+        d, at = int(T[t, c]), int(T[a, t])
+        if e in (a, at, c, d, T[a, c], T[a, d]):
+            continue
+        bad = T.copy()
+        rows, cols = [a, a, at, at], [c, d, c, d]
+        bad[rows, cols] = T[rows, [d, c, d, c]]
+        g = next(g for g in generating_sequence(S6)
+                 if (bad[bad[g]] != bad[g][bad]).any())
+        h, k = np.argwhere(bad[bad[g]] != bad[g][bad])[0]
+        with pytest.raises(ValueError,
+                           match=rf"^associativity fails at \({g},{h},{k}\)$"):
+            FiniteGroup(bad)
+        hs.append(h)
+    assert max(hs) >= group_core._BLOCK_CELLS // S6.order
+
+
+def test_tables_built_in_final_dtype(S3, C4):
+    """Cyclic and product tables are built as int32 in place: the right
+    entries, and a traced peak for C3000 well below the two tables that
+    an out-of-place remainder would hold."""
+    P = direct_product(S3, C4)
+    assert P.table.dtype == np.int32
+    assert P.table.tolist() == [
+        [int(S3.table[a, c]) * 4 + int(C4.table[b, d])
+         for c in range(6) for d in range(4)]
+        for a in range(6) for b in range(4)]
+    tracemalloc.start()
+    C = make_cyclic(3000)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    ar = np.arange(3000)
+    assert C.table.dtype == np.int32
+    assert np.array_equal(C.table, (ar[:, None] + ar[None, :]) % 3000)
+    assert peak < 1.3 * C.table.nbytes
+    with pytest.raises(ValueError, match="table of order 10100 exceeds"):
+        direct_product(make_cyclic(101), make_cyclic(100))
 
 
 def _reference_verdict(T):
@@ -771,26 +826,44 @@ def test_hom_counts(S3, C2, C6, C2xC2, D4, Q8):
     assert len(enumerate_homomorphisms(make_trivial(), S3)) == 1
 
 
-def test_hom_enumeration_matches_brute_force(S3, C2, C4, C2xC2):
-    for G, H in ((C2, S3), (C4, C4), (C2xC2, C2xC2), (S3, S3), (S3, C4)):
-        brute = set(brute_force_hom_images(G, H))
-        fancy = {tuple(int(x) for x in a.images)
-                 for a in enumerate_homomorphisms(G, H)}
-        assert fancy == brute
+def test_hom_enumeration_matches_brute_force(test_universe):
+    """On every pair of the test universe ((A4, A4) and (S4, S4) among
+    them) the list is the brute-force scan of every tuple of images of
+    the greedy generators, in its lexicographic order; where scanning
+    every map G -> H is cheap, that scan finds the same homs."""
+    for G, H in itertools.product(test_universe, repeat=2):
+        got = [h.key() for h in enumerate_homomorphisms(G, H)]
+        want = brute_force_hom_images(G, H, gens=generating_sequence(G))
+        assert got == want, (G.label, H.label)
+        if H.order ** G.order <= 10 ** 5:
+            assert set(got) == set(brute_force_hom_images(G, H))
 
 
 def test_each_enumerated_candidate_verified_once(monkeypatch, S3, S4, D4):
+    """Every candidate, a tuple of generator images passing the order
+    filters, goes through one batched `_is_hom` call exactly once, in
+    lexicographic order, and the list is the candidates that pass."""
     checked = []
     real = group_core._is_hom
 
     def recording(G, H, images):
-        checked.append(tuple(int(x) for x in images))
+        checked.extend(tuple(int(x) for x in row)
+                       for row in np.atleast_2d(images))
         return real(G, H, images)
 
     monkeypatch.setattr(group_core, "_is_hom", recording)
     for G, H in ((S3, S3), (S4, S3), (D4, S4)):
         checked.clear()
         homs = enumerate_homomorphisms(G, H)
+        gens = generating_sequence(G)
+        ordG, ordH = G.element_orders(), H.element_orders()
+        candidates = [
+            c for c in itertools.product(range(H.order), repeat=len(gens))
+            if all(ordG[g] % ordH[x] == 0 for g, x in zip(gens, c))
+            and all(ordG[G.mul(gens[a], gens[b])] % ordH[H.mul(c[a], c[b])]
+                    == 0 for a in range(len(gens)) for b in range(len(gens))
+                    if a != b)]
+        assert [tuple(key[g] for g in gens) for key in checked] == candidates
         assert len(checked) == len(set(checked))
         assert [h.key() for h in homs] == [
             key for key in checked
@@ -798,21 +871,48 @@ def test_each_enumerated_candidate_verified_once(monkeypatch, S3, S4, D4):
                               H.table[np.ix_(key, key)])]
 
 
-def test_rep_classes(S3, C2):
-    classes = rep_classes(S3, S3)
-    assert sorted(len(c) for c in classes) == [1, 3, 6]
-    assert sum(len(c) for c in classes) == 10
-    assert len(rep_classes(C2, S3)) == 2
-    # conjugacy really relates the members
-    for cls_ in classes:
-        first = cls_[0]
-        orbit = set()
-        for t in range(6):
-            ti = S3.inv(t)
-            orbit.add(tuple(S3.mul(S3.mul(ti, int(first.images[g])), t)
-                            for g in range(6)))
-        for a in cls_:
-            assert tuple(int(x) for x in a.images) in orbit
+def test_batched_hom_check_and_refusal(S3, S4):
+    """`_is_hom` on a stack gives each row's verdict, and `GroupHom`
+    still refuses a map that the batches reject."""
+    rng = np.random.default_rng(12)
+    homs = np.array([h.images for h in enumerate_homomorphisms(S4, S3)])
+    rows = rng.integers(0, S3.order, (40, S4.order)).astype(np.int32)
+    rows[:, S4.identity] = S3.identity
+    stack = np.concatenate([homs, rows]).reshape(2, -1, S4.order)
+    verdicts = _is_hom(S4, S3, stack)
+    assert verdicts.shape == stack.shape[:2]
+    assert verdicts.tolist() == [[bool(_is_hom(S4, S3, r)) for r in half]
+                                 for half in stack]
+    assert verdicts.reshape(-1)[:len(homs)].all()
+    bad = next(r for r, ok in zip(stack.reshape(-1, S4.order),
+                                  verdicts.reshape(-1)) if not ok)
+    with pytest.raises(ValueError,
+                       match="^images do not define a homomorphism$"):
+        GroupHom(S4, S3, bad)
+
+
+def test_hom_enumeration_memory_is_bounded(monkeypatch):
+    """Iterating the batches holds a bounded number of cells: with the
+    budget lowered to 2^12 cells, 16 times the candidates (8^4 against
+    16^4, all of them homs) leave the peak where it was; at the default
+    budget the peak stays far below the 16 MB that checking all 16^4
+    candidates at once would take."""
+    G = parse_group_spec("C2xC2xC2xC2")
+
+    def peaks():
+        out = []
+        for H in (parse_group_spec("C2xC2xC2"), G):
+            tracemalloc.start()
+            count = sum(len(batch) for batch in _hom_batches(G, H))
+            out.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+            assert count == H.order ** 4
+        return out
+
+    assert peaks()[1] < 8 * 2 ** 20
+    monkeypatch.setattr(group_core, "_BLOCK_CELLS", 2 ** 12)
+    few, many = peaks()
+    assert many < 1.25 * few
 
 
 # -- abelian invariants ------------------------------------------------
