@@ -51,7 +51,6 @@ from .twisted_rep import (  # noqa: F401
     IrrepProfile,
     irrep_profile,
     regular_classes,
-    count_reps_of_dim,
     ordinary_character_degrees,
 )
 from .pointed_center import (  # noqa: F401

@@ -25,7 +25,8 @@ from .bands import band_center_families, conjugacy_types
 from .cohomology import (CocycleError, Cochain, cochain_to_json, cup3,
                          is_cocycle, is_coboundary, load_cocycle)
 from .group_core import FiniteGroup, center, conjugacy_classes, parse_group_spec
-from .pointed_center import (CentralObjectSpec, PointedCategory, center_report,
+from .pointed_center import (CentralObjectSpec, PointedCategory,
+                             _obstruction_json, center_report,
                              count_simple_central_objects, lift_count,
                              obstruction, report_to_json)
 
@@ -216,6 +217,11 @@ def _category(args, G: FiniteGroup) -> PointedCategory:
     return PointedCategory(G, f)
 
 
+def _obstruction_line(o) -> str:
+    word = "vanishes" if o.vanishes else "non-vanishing"
+    return f"class {o.class_index} (representative {o.representative}): {word}"
+
+
 def _cmd_obstruction(args) -> int:
     G = _load_group(args.group)
     C = _category(args, G)
@@ -224,15 +230,10 @@ def _cmd_obstruction(args) -> int:
     payload = {
         "group": G.label,
         "modulus": C.modulus,
-        "obstructions": [{"class": r.class_index,
-                          "representative": r.representative,
-                          "vanishes": r.vanishes} for r in results],
+        "obstructions": [_obstruction_json(r) for r in results],
     }
     lines = [f"group: {G.label}", f"modulus: {C.modulus}"]
-    for r in results:
-        word = "vanishes" if r.vanishes else "non-vanishing"
-        lines.append(f"class {r.class_index} "
-                     f"(representative {r.representative}): {word}")
+    lines += [_obstruction_line(r) for r in results]
     return _emit(args, payload, lines)
 
 
@@ -246,10 +247,7 @@ def _cmd_center_report(args) -> int:
              f"kernel invariant factors: "
              f"{list(report.kernel_invariant_factors)}",
              f"simple central objects: {report.simple_central_objects}"]
-    for o in report.obstructions:
-        word = "vanishes" if o.vanishes else "non-vanishing"
-        lines.append(f"class {o.class_index} "
-                     f"(representative {o.representative}): {word}")
+    lines += [_obstruction_line(o) for o in report.obstructions]
     for spec, count in report.lifts:
         sup = ",".join(f"{i}:{spec.multiplicities[i]}"
                        for i in spec.support()) or "0"

@@ -56,8 +56,8 @@ class CocycleError(ValueError):
 class Cochain:
     """A normalized function G^k -> Z/N (k = 0..3), stored dense.
 
-    The sparse `values` map (absent tuple = 0) is derived lazily for
-    serialization; all arithmetic runs on the dense array.
+    The sparse `values` map (absent tuple = 0) is a read-only view built
+    on first access; serialization and all arithmetic read the dense array.
     """
 
     def __init__(self, group: FiniteGroup, degree: int, modulus: int,
@@ -238,6 +238,15 @@ def is_cocycle(f: Cochain) -> CohomologyClassVerdict:
     return verdict
 
 
+def _require_cocycle(f: Cochain, role: str) -> None:
+    """Refuse f, naming `role` and the failure certificate, unless it is
+    a cocycle."""
+    cert = is_cocycle(f).failure_certificate
+    if cert is not None:
+        raise CocycleError(f"{role} fails the cocycle identity at {cert}",
+                           certificate=cert)
+
+
 # -- coboundary decision ----------------------------------------------
 
 def is_coboundary(f: Cochain) -> CohomologyClassVerdict:
@@ -251,11 +260,7 @@ def is_coboundary(f: Cochain) -> CohomologyClassVerdict:
     """
     if f.degree not in (2, 3):
         raise ValueError("coboundary decision needs degree 2 or 3")
-    cv = is_cocycle(f)
-    if not cv.is_cocycle:
-        raise CocycleError(
-            f"input fails the cocycle identity at {cv.failure_certificate}",
-            certificate=cv.failure_certificate)
+    _require_cocycle(f, "input")
     G = f.group
     N = f.modulus
     n = G.order
@@ -361,11 +366,7 @@ def gamma(omega: Cochain, z: int) -> Cochain:
     """
     if omega.degree != 3:
         raise ValueError("gamma needs a 3-cochain")
-    cv = is_cocycle(omega)
-    if not cv.is_cocycle:
-        raise CocycleError(
-            f"omega fails the cocycle identity at {cv.failure_certificate}",
-            certificate=cv.failure_certificate)
+    _require_cocycle(omega, "omega")
     G = omega.group
     if not 0 <= z < G.order:
         raise ValueError(f"element index {z} out of range")

@@ -46,6 +46,9 @@ __all__ = [
 
 # Homomorphism enumeration bound on the source group's order.
 FULL_CHECK_ORDER = 512
+# Homomorphisms `enumerate_homomorphisms` may return: its list holds one
+# `GroupHom` per homomorphism, about 280 bytes each at |G| = 16.
+MAX_HOMS = 1 << 20
 # Hard memory guard: an order-10000 int32 table is ~400 MB; S8 (40320)
 # would need ~6.5 GB and is rejected outright.
 MAX_TABLE_ORDER = 10000
@@ -136,9 +139,6 @@ class FiniteGroup:
 
     def mul(self, g: int, h: int) -> int:
         return int(self.table[g, h])
-
-    def inv(self, g: int) -> int:
-        return int(self.inverse[g])
 
     def element_orders(self) -> np.ndarray:
         """Orders of all elements, one prime of n at a time.
@@ -479,9 +479,11 @@ def subgroup(G: FiniteGroup, elements) -> tuple[FiniteGroup, np.ndarray]:
 
     Returns (H, embed) with embed[i] = the G-index of H's element i.
     Elements are sorted ascending, so G's identity lands at H-index 0
-    whenever it is G-index 0.
+    whenever it is G-index 0.  All of G gives G itself, caches and all.
     """
     elems = sorted(set(int(x) for x in elements))
+    if elems == list(range(G.order)):
+        return G, np.arange(G.order, dtype=np.int32)
     if G.identity not in elems:
         raise ValueError("subset does not contain the identity")
     embed = np.array(elems, dtype=np.int32)
@@ -616,10 +618,17 @@ def enumerate_homomorphisms(G: FiniteGroup, H: FiniteGroup) -> list[GroupHom]:
     """All homomorphisms G -> H, lexicographic in generator images.
 
     The order and the exact check, once per candidate, are those of
-    `_hom_batches`.
+    `_hom_batches`.  More than MAX_HOMS homomorphisms are refused as
+    soon as that many are collected.
     """
-    return [GroupHom._verified(G, H, images)
-            for batch in _hom_batches(G, H) for images in batch]
+    homs = []
+    for batch in _hom_batches(G, H):
+        homs.extend(GroupHom._verified(G, H, images) for images in batch)
+        if len(homs) > MAX_HOMS:
+            raise ValueError(
+                f"more than {MAX_HOMS} homomorphisms {G.label} -> {H.label}; "
+                "enumeration declined")
+    return homs
 
 
 def _hom_batches(G: FiniteGroup, H: FiniteGroup):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cohomology import Cochain, CocycleError, _gamma_dense, is_cocycle
+from .cohomology import Cochain, _gamma_dense, _require_cocycle
 from .group_core import (FiniteGroup, abelian_invariants, centralizer,
                          commutator_subgroup, conjugacy_classes,
                          quotient_group, subgroup)
@@ -51,12 +51,7 @@ class PointedCategory:
             raise ValueError("associator must be a degree-3 cochain")
         if omega.group is not group:
             raise ValueError("associator is defined on a different group")
-        verdict = is_cocycle(omega)
-        if not verdict.is_cocycle:
-            raise CocycleError(
-                "associator fails the cocycle identity at "
-                f"{verdict.failure_certificate}",
-                certificate=verdict.failure_certificate)
+        _require_cocycle(omega, "associator")
         self.group = group
         self.omega = omega
         self.modulus = omega.modulus
@@ -72,7 +67,10 @@ class PointedCategory:
         g = int(cc.representatives[i])
         H, embed = subgroup(self.group, centralizer(self.group, [g]))
         dense = _gamma_dense(self.omega.dense, g)[np.ix_(embed, embed)]
-        alg = TwistedGroupAlgebra(H, Cochain(H, 2, self.modulus, dense=dense))
+        # gamma_g is a 2-cocycle on C(g) because omega is a 3-cocycle
+        # (Dijkgraaf, Pasquier & Roche 1990), so it is not checked again
+        alg = TwistedGroupAlgebra._verified(
+            H, Cochain(H, 2, self.modulus, dense=dense))
         self._algebras[i] = alg
         return alg
 
@@ -227,15 +225,17 @@ def center_report(C: PointedCategory, specs=None) -> CenterReport:
     return report
 
 
+def _obstruction_json(o: ObstructionResult) -> dict:
+    return {"class": o.class_index, "representative": o.representative,
+            "vanishes": o.vanishes}
+
+
 def report_to_json(report: CenterReport) -> dict:
     return {
         "group": report.group_label,
         "modulus": report.modulus,
         "e_pages": report.e_pages,
-        "obstructions": [{"class": o.class_index,
-                          "representative": o.representative,
-                          "vanishes": o.vanishes}
-                         for o in report.obstructions],
+        "obstructions": [_obstruction_json(o) for o in report.obstructions],
         "kernel_char": {"invariant_factors":
                         list(report.kernel_invariant_factors)},
         "lifts": [{"spec": list(spec.multiplicities), "count": count}

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cohomology import Cochain, CocycleError, is_cocycle
+from .cohomology import Cochain, _require_cocycle
 from .group_core import FiniteGroup, _prime_factors, conjugacy_classes
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "IrrepProfile",
     "regular_classes",
     "irrep_profile",
-    "count_reps_of_dim",
     "ordinary_character_degrees",
 ]
 
@@ -52,20 +51,19 @@ class TwistedGroupAlgebra:
             raise ValueError("twisting cocycle must have degree 2")
         if cocycle.group is not group:
             raise ValueError("cocycle is defined on a different group")
-        verdict = is_cocycle(cocycle)
-        if not verdict.is_cocycle:
-            raise CocycleError(
-                "twisting cochain fails the cocycle identity at "
-                f"{verdict.failure_certificate}",
-                certificate=verdict.failure_certificate)
+        _require_cocycle(cocycle, "twisting cochain")
         self.group = group
         self.cocycle = cocycle
         self.modulus = cocycle.modulus
         self._profile = None
 
-    def structure_constant(self, g: int, h: int):
-        """(gh, exponent) with u_g u_h = zeta^exponent u_{gh}."""
-        return self.group.mul(g, h), self.cocycle(g, h)
+    @classmethod
+    def _verified(cls, group: FiniteGroup, cocycle: Cochain):
+        """Wrap a degree-2 cochain on `group` already known to be a cocycle."""
+        alg = cls.__new__(cls)
+        alg.group, alg.cocycle = group, cocycle
+        alg.modulus, alg._profile = cocycle.modulus, None
+        return alg
 
     def __repr__(self):
         return (f"TwistedGroupAlgebra({self.group.label}, "
@@ -100,12 +98,6 @@ def regular_classes(T: TwistedGroupAlgebra) -> set:
     reps = conjugacy_classes(T.group).representatives
     mask = _regular_element_mask(T.group, T.cocycle.dense, reps)
     return {int(i) for i in np.nonzero(mask)[0]}
-
-
-def count_reps_of_dim(T: TwistedGroupAlgebra, m: int) -> int:
-    if m < 0:
-        raise ValueError("dimension must be non-negative")
-    return irrep_profile(T).count_of_dim(m)
 
 
 # -- abelian fast path -------------------------------------------------

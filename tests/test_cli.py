@@ -5,6 +5,7 @@ stdout/stderr are observable; one subprocess smoke test covers the
 ``python -m`` entry.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -289,6 +290,32 @@ def test_center_report_deterministic(capsys):
     b = run_json(capsys, "center-report", "--group", "S4",
                  "--cocycle", "zero")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+# sha256 of stdout as recorded before class algebras reused the verified
+# group and cocycle; refactors must keep every output byte-identical
+GOLDEN_STDOUT = [
+    (("center-report", "--group", "C2xC2xC2xC2xC2", "--cocycle", "cup:0,1,2",
+      "--json"),
+     "181dcb2b9017ad9a314a5b9fe6df813f2e62faff9fdb4cf88fc77594c6c0cf9d"),
+    (("center-report", "--group", "C4xC4xC2", "--cocycle", "cup:0,1,2",
+      "--json"),
+     "2e0a7826bdaf3f7a14ca0b6d1c6a756c9769f223f57d5711b523654623e4ebee"),
+    (("center-report", "--group", "S4", "--cocycle", "zero", "--json"),
+     "fe50a2c3f4dbd7b5e3f36c48a59c0359ab185d61ec678c6d494442d8e7ded6d5"),
+    (("center-report", "--group", "A5", "--cocycle", "zero", "--json"),
+     "fcfb0c50ff81f0dc32299be32c0b451e27307cb4762fb535aa4fb0b44dada450"),
+    (("obstruction", "--group", "C3xC3xC3", "--cocycle", "cup:0,1,2"),
+     "99a3742a5f5d6866b3c04ffd1d8f7f8d1f196c0856a4d6fbc35ba508e752ea7b"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT,
+                         ids=["-".join(a[0:5:2]) for a, _ in GOLDEN_STDOUT])
+def test_stdout_matches_recorded_digest(capsys, argv, digest):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_lift_counts(capsys):

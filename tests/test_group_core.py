@@ -592,6 +592,9 @@ def test_subgroup_embedding(S4):
         for a in range(H.order):
             for b in range(H.order):
                 assert embed[H.table[a, b]] == S4.table[embed[a], embed[b]]
+    # all of G is G itself, not a re-validated copy
+    H, embed = subgroup(S4, range(S4.order))
+    assert H is S4 and list(embed) == list(range(S4.order))
 
 
 def test_subgroup_rejects_non_closed(S3):
@@ -824,6 +827,14 @@ def test_hom_counts(S3, C2, C6, C2xC2, D4, Q8):
     assert len(enumerate_homomorphisms(Q8, C2)) == 4
     assert len(enumerate_homomorphisms(C2xC2, C2xC2)) == 16
     assert len(enumerate_homomorphisms(make_trivial(), S3)) == 1
+
+
+def test_hom_enumeration_refuses_past_its_bound(monkeypatch, C2xC2):
+    monkeypatch.setattr(group_core, "MAX_HOMS", 16)
+    assert len(enumerate_homomorphisms(C2xC2, C2xC2)) == 16
+    monkeypatch.setattr(group_core, "MAX_HOMS", 15)
+    with pytest.raises(ValueError, match="more than 15 homomorphisms"):
+        enumerate_homomorphisms(C2xC2, C2xC2)
 
 
 def test_hom_enumeration_matches_brute_force(test_universe):

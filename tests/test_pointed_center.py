@@ -179,6 +179,36 @@ def test_report_verifies_omega_once_and_never_solves(monkeypatch):
     assert sum(o.vanishes for o in report.obstructions) == 2
 
 
+def test_report_reverifies_no_gamma_and_no_centralizer(monkeypatch):
+    """Once the PointedCategory is built, a report on C2^5 checks no
+    degree-2 cocycle identity and builds no group: each gamma_g is a
+    cocycle because omega is, and every centralizer is G itself."""
+    G = parse_group_spec("C2xC2xC2xC2xC2")
+    C = cat(G, cup3(G, 0, 1, 2, 2))
+    degrees, built = [], []
+    real_is_cocycle = cohomology.is_cocycle
+    real_init = group_core.FiniteGroup.__init__
+
+    def recording_is_cocycle(f):
+        degrees.append(f.degree)
+        return real_is_cocycle(f)
+
+    def recording_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("zcenter") and \
+                getattr(mod, "is_cocycle", None) is real_is_cocycle:
+            monkeypatch.setattr(mod, "is_cocycle", recording_is_cocycle)
+    monkeypatch.setattr(group_core.FiniteGroup, "__init__", recording_init)
+    report = center_report(C)
+    assert 2 not in degrees
+    assert built == []
+    assert all(C.class_algebra(i).group is G for i in range(G.order))
+    assert report.simple_central_objects > 0
+
+
 def test_report_on_s5_verifies_omega_at_two_generators(monkeypatch, S5):
     """On S5 omega's cocycle identity is checked at a two-element
     generating set, not at the four greedy generators."""
