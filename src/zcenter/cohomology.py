@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from itertools import chain
 
@@ -40,7 +41,7 @@ __all__ = [
 # Dense iteration guards: |G|^(k+1) sweeps get large fast.
 MAX_ORDER_DEG_LE2 = 512
 MAX_ORDER_DEG3 = 128
-# Cocycle file entries are checked and stored this many at a time, which
+# Loaded JSON entries are checked and stored this many at a time, which
 # bounds the int64 copy (an order-128 degree-3 file has 2,097,152 entries)
 _ENTRY_CHUNK = 16384
 
@@ -386,6 +387,16 @@ def cochain_from_json(G: FiniteGroup, data: dict):
     coboundary; the applied correction (a degree k-1 dense array) is
     returned alongside, None when nothing was subtracted.
     """
+    N, k = _check_envelope(data)
+    entries = data["entries"]
+    return _cochain_from_rows(G, k, N, (
+        _json_rows(entries[start:start + _ENTRY_CHUNK], k, G.order, N)
+        for start in range(0, len(entries), _ENTRY_CHUNK)))
+
+
+def _check_envelope(data) -> tuple[int, int]:
+    """(modulus, degree) of cocycle JSON data, after checking every
+    field but the entries themselves."""
     if not isinstance(data, dict):
         raise ValueError("cocycle JSON must be an object")
     for key in ("modulus", "degree", "entries"):
@@ -399,21 +410,26 @@ def cochain_from_json(G: FiniteGroup, data: dict):
     check_modulus(N)
     if type(k) is not int or not 0 <= k <= 3:
         raise ValueError(f"bad degree {k!r}")
-    n = G.order
-    entries = data["entries"]
-    if not isinstance(entries, list):
+    if not isinstance(data["entries"], list):
         raise ValueError("cocycle JSON field 'entries' must be a list")
+    return N, k
+
+
+def _cochain_from_rows(G: FiniteGroup, k: int, N: int, blocks):
+    """The cochain (and normalization) whose entries are the rows of each
+    (m, k + 1) int64 array of `blocks`, in order.
+
+    Both cocycle readers end here: an out-of-range index raises for the
+    first row holding one, a repeated tuple keeps its last value, values
+    are reduced mod N and the result is normalized (`_normalize`).
+    """
+    n = G.order
     dense = np.zeros((n,) * k, dtype=np.int64)
-    for start in range(0, len(entries), _ENTRY_CHUNK):
-        chunk = entries[start:start + _ENTRY_CHUNK]
-        rows = _entry_rows(chunk, k, n)
-        if rows is None:
-            for entry in chunk:
-                _check_entry(entry, k, n)
-            # every entry is well-formed: a value past int64 (or a list
-            # subclass) is all that sends a chunk here, so reduce in Python
-            rows = np.array([[*e[:k], e[k] % N] for e in chunk],
-                            dtype=np.int64)
+    for rows in blocks:
+        # a negative index reads as 2^64 - |i| unsigned: one comparison
+        bad = (rows[:, :k].view(np.uint64) >= n).any(axis=1)
+        if bad.any():
+            _check_entry(rows[bad.argmax()].tolist(), k, n)
         flat = np.broadcast_to(  # a scalar 0 in degree 0
             np.ravel_multi_index(tuple(rows[:, :k].T), dense.shape), len(rows))
         # a repeated tuple keeps its last value, as when entries are written
@@ -424,23 +440,32 @@ def cochain_from_json(G: FiniteGroup, data: dict):
     return Cochain(G, k, N, dense=dense), correction
 
 
-def _entry_rows(chunk: list, k: int, n: int) -> np.ndarray | None:
+def _json_rows(chunk: list, k: int, n: int, N: int) -> np.ndarray:
+    """Loaded JSON entries as (m, k + 1) int64 rows, values past int64
+    reduced mod N; raises for the first malformed entry."""
+    rows = _entry_rows(chunk, k)
+    if rows is None:
+        for entry in chunk:
+            _check_entry(entry, k, n)
+        # every entry is well-formed: a value past int64 (or a list
+        # subclass) is all that sends a chunk here, so reduce in Python
+        rows = np.array([[*e[:k], e[k] % N] for e in chunk], dtype=np.int64)
+    return rows
+
+
+def _entry_rows(chunk: list, k: int) -> np.ndarray | None:
     """The entries as an (m, k + 1) int64 array, or None unless each is
-    a list of k + 1 ints (not bools) that fit int64, with indices in
-    0..n-1.  None sends the chunk to `_check_entry`, entry by entry."""
+    a list of k + 1 ints (not bools) that fit int64.  None sends the
+    chunk to `_check_entry`, entry by entry."""
     if set(map(type, chunk)) != {list} or set(map(len, chunk)) != {k + 1}:
         return None
     flat = list(chain.from_iterable(chunk))
     if set(map(type, flat)) != {int}:
         return None
     try:
-        rows = np.array(flat, dtype=np.int64).reshape(len(chunk), k + 1)
+        return np.array(flat, dtype=np.int64).reshape(len(chunk), k + 1)
     except OverflowError:
         return None
-    # a negative index reads as 2^64 - |i| unsigned: one comparison
-    if (rows[:, :k].view(np.uint64) >= n).any():
-        return None
-    return rows
 
 
 def _check_entry(entry, k: int, n: int) -> None:
@@ -452,6 +477,129 @@ def _check_entry(entry, k: int, n: int) -> None:
         raise ValueError(f"element index out of range in entry {entry!r}")
     if type(v) is not int:
         raise ValueError(f"value in entry {entry!r} is not an integer")
+
+
+# -- reading the entries array from the text ---------------------------
+#
+# A structural-index reader (after Langdale & Lemire, "Parsing gigabytes
+# of JSON per second", VLDB J. 2019): each block of the array's text is
+# stripped of whitespace, the positions of its brackets and commas are
+# compared with the one layout of an entry, and its numbers are converted
+# in one C-level pass.  It reads a subset of JSON, on which it agrees with
+# `json.loads`, and returns None on anything else.
+
+# Characters of the array's text read per block; a block ends at an entry's
+# closing bracket, which bounds the temporaries of the passes over it
+_BLOCK_CHARS = 1 << 18
+# The opening of the entries array: JSON whitespace only, no escapes
+_ENTRIES_KEY = re.compile(r'"entries"[ \t\n\r]*:[ \t\n\r]*\[')
+_ARRAY_END = re.compile(rb"\][ \t\n\r]*\]")
+_SPACED_SIGN = re.compile(rb"-[ \t\n\r]")
+_JSON_SPACE = b" \t\n\r"
+_UNBRACKET = bytes.maketrans(b"[],", b"   ")
+# 18 decimal digits always fit int64
+_MAX_DIGITS = 18
+
+
+def _read_entries(text: str):
+    """(envelope data, row blocks) of cocycle JSON text, or None.
+
+    Taken when the text has no backslash and exactly one "entries" key
+    opening an array, and that array is [[n, ..., n], ...] with the same
+    count of integers in every entry, each of at most 18 digits, without
+    leading zeros or whitespace inside.  The envelope data is
+    `json.loads` of the text with the array replaced by [], so the
+    entries field of a valid text is that []; the blocks hold the
+    array's rows, as int64 (m, k + 1) arrays.  None leaves the text to
+    `json.loads`, which gives the same data or raises.
+    """
+    if "\\" in text:
+        return None
+    found = _ENTRIES_KEY.finditer(text)
+    key = next(found, None)
+    if key is None or next(found, None) is not None:
+        return None
+    # without escapes the key's first quote opens a string, so a text
+    # that parses holds the array as the value of an "entries" field
+    pos = key.end()
+    blocks, k, close = [], None, None
+    while close is None:
+        if pos >= len(text):
+            return None
+        # a block ends right after a ] when one is near, else it must hold
+        # the array's end
+        stop = pos + _BLOCK_CHARS
+        stop = text.find("]", stop, stop + _BLOCK_CHARS) + 1 or stop
+        read = _entry_block(text[pos:stop].encode("ascii", "replace"), k)
+        if read is None:
+            return None
+        rows, k, end = read
+        if len(rows):
+            blocks.append(rows)
+        if end is not None:
+            close = pos + end
+        pos = stop
+    try:
+        data = json.loads(text[:key.end()] + text[close:])
+    except (ValueError, RecursionError):
+        return None
+    return data, blocks
+
+
+def _entry_block(raw: bytes, k: int | None):
+    """(rows, k, end) for one block of the entries array, or None.
+
+    `raw` starts right after the array's [ (k None: the first block) or
+    right after an entry's ].  A block that holds the array's own ], at
+    offset `end` (else None), is read up to it; any other must end
+    right after an entry's ].  Every entry holds k + 1 integers; the
+    first entry sets k.
+    """
+    packed = raw.translate(None, _JSON_SPACE)
+    if packed.startswith(b"]"):  # the array ends where the block starts
+        return np.empty((0, 0), dtype=np.int64), k, raw.index(b"]")
+    end = None
+    cut = packed.find(b"]]")
+    if cut >= 0:
+        packed = packed[:cut + 1]
+        end = _ARRAY_END.search(raw).end() - 1
+        raw = raw[:end]
+    # a virtual comma before the first entry: each entry is ,[n,...,n]
+    c = np.frombuffer(b"," + packed if k is None else packed, dtype=np.uint8)
+    minus = c == ord("-")
+    digit = np.subtract(c, ord("0"), dtype=np.uint8) < 10
+    at = np.flatnonzero(~(digit | minus))  # brackets, commas, anything else
+    marks = c[at]
+    if k is None:
+        closes = np.flatnonzero(marks == ord("]"))
+        if not len(closes) or closes[0] < 2:
+            return None
+        k = int(closes[0]) - 2
+    width = k + 3
+    if len(at) % width:
+        return None
+    entry = np.full(width, ord(","), dtype=np.uint8)
+    entry[[1, -1]] = ord("["), ord("]")
+    gaps = np.diff(at, append=len(c)).reshape(-1, width)
+    if (marks.reshape(-1, width) != entry).any() or (
+            gaps[:, [0, -1]] != 1).any():
+        return None
+    # the numbers: what follows [ and each comma inside an entry
+    starts = at.reshape(-1, width)[:, 1:-1].ravel() + 1
+    signed = minus[starts]
+    digits = gaps[:, 1:-1].ravel() - 1 - signed
+    if (signed.sum() != minus.sum()  # - only first
+            or not ((digits >= 1) & (digits <= _MAX_DIGITS)).all()
+            or ((c[starts + signed] == ord("0")) & (digits > 1)).any()):
+        return None
+    # whitespace inside a number: the conversion reads "- 1" as -1, and
+    # splits any other number in two, which the count check finds
+    if signed.any() and _SPACED_SIGN.search(raw):
+        return None
+    values = np.fromstring(raw.translate(_UNBRACKET), dtype=np.int64, sep=" ")
+    if len(values) != len(starts):
+        return None
+    return values.reshape(-1, k + 1), k, end
 
 
 def _normalize(G: FiniteGroup, k: int, N: int, dense: np.ndarray):
@@ -493,10 +641,24 @@ def _unnormalized_axis(dense: np.ndarray, e: int):
 
 
 def load_cocycle(G: FiniteGroup, path: str):
-    """Load a cocycle file; returns (Cochain, normalization or None)."""
+    """Load a cocycle file; returns (Cochain, normalization or None).
+
+    Any JSON layout is read, with the result or error of
+    `cochain_from_json` on `json.loads` of the text.  An entries array
+    of plain integer entries, the layout `cochain_to_json` writes, is
+    read from the text in fixed-size blocks (`_read_entries`).
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return cochain_from_json(G, data)
+        text = fh.read()
+    read = _read_entries(text)
+    if read is not None:
+        data, blocks = read
+        N, k = _check_envelope(data)
+        # entries of another arity are the JSON reader's error to name
+        if not blocks or blocks[0].shape[1] == k + 1:
+            del text  # before the dense arrays are built
+            return _cochain_from_rows(G, k, N, blocks)
+    return cochain_from_json(G, json.loads(text))
 
 
 def cochain_to_json(f: Cochain) -> dict:

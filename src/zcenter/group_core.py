@@ -463,15 +463,27 @@ def _bfs_layers(G: FiniteGroup, gens) -> list[np.ndarray]:
 
 
 def commutator_subgroup(G: FiniteGroup) -> tuple[int, ...]:
-    """Subgroup generated by all g h g^-1 h^-1."""
+    """Subgroup generated by all g h g^-1 h^-1.
+
+    It is the normal closure of the commutators of a generating set: the
+    subgroup they generate, grown by a conjugate under a generator that
+    falls outside it until none does.  Each step at least doubles the
+    subgroup.
+    """
     T = G.table
     inv = G.inverse
-    n = G.order
-    g = np.arange(n)[:, None]
-    h = np.arange(n)[None, :]
-    comm = np.unique(T[T[T[g, h], inv[g]], inv[h]])
-    elems = np.append(_bfs(G, comm)[:, 0], G.identity)
-    return tuple(int(x) for x in np.sort(elems))
+    gens = np.array(generating_sequence(G), dtype=np.int64)
+    a, b = gens[:, None], gens[None, :]
+    closure = T[T[T[a, b], inv[a]], inv[b]].ravel()
+    while True:
+        elems = np.append(_bfs(G, closure)[:, 0], G.identity)
+        inside = np.zeros(G.order, dtype=bool)
+        inside[elems] = True
+        conj = T[T[inv[gens][:, None], elems], gens[:, None]]
+        outside = conj[~inside[conj]]
+        if not len(outside):
+            return tuple(int(x) for x in np.sort(elems))
+        closure = np.append(closure, outside[0])
 
 
 def subgroup(G: FiniteGroup, elements) -> tuple[FiniteGroup, np.ndarray]:
@@ -484,6 +496,14 @@ def subgroup(G: FiniteGroup, elements) -> tuple[FiniteGroup, np.ndarray]:
     elems = sorted(set(int(x) for x in elements))
     if elems == list(range(G.order)):
         return G, np.arange(G.order, dtype=np.int32)
+    H = FiniteGroup(_closed_table(G, elems),
+                    label=f"{G.label}-sub{len(elems)}")
+    return H, np.array(elems, dtype=np.int32)
+
+
+def _closed_table(G: FiniteGroup, elems: list[int]) -> np.ndarray:
+    """The products of a sorted element list, as indices into it; raises
+    unless the list holds the identity and is closed."""
     if G.identity not in elems:
         raise ValueError("subset does not contain the identity")
     embed = np.array(elems, dtype=np.int32)
@@ -494,8 +514,7 @@ def subgroup(G: FiniteGroup, elements) -> tuple[FiniteGroup, np.ndarray]:
         a, b = np.argwhere(sub_table < 0)[0]
         raise ValueError(
             f"subset not closed: {elems[a]}*{elems[b]} falls outside it")
-    H = FiniteGroup(sub_table, label=f"{G.label}-sub{len(elems)}")
-    return H, embed
+    return sub_table
 
 
 def quotient_group(G: FiniteGroup, normal) -> tuple[FiniteGroup, GroupHom]:
@@ -505,7 +524,7 @@ def quotient_group(G: FiniteGroup, normal) -> tuple[FiniteGroup, GroupHom]:
     the identity coset is index 0.
     """
     N = sorted(set(int(x) for x in normal))
-    subgroup(G, N)  # closure/identity validation
+    _closed_table(G, N)  # raises unless N holds the identity and is closed
     T = G.table
     inv = G.inverse
     Na = np.array(N, dtype=np.int32)
@@ -517,7 +536,8 @@ def quotient_group(G: FiniteGroup, normal) -> tuple[FiniteGroup, GroupHom]:
             f"subgroup is not normal: witness pair (g={g}, n={bad}) "
             f"with g^-1*n*g = {int(T[T[inv[g], bad], g])} outside")
     coset_rep = T[:, Na].min(axis=1)
-    reps = np.unique(coset_rep)
+    # each coset's least element is its own representative
+    reps = np.flatnonzero(coset_rep == np.arange(G.order))
     coset_index = np.full(G.order, -1, dtype=np.int32)
     coset_index[reps] = np.arange(len(reps), dtype=np.int32)
     proj = coset_index[coset_rep]

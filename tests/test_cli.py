@@ -407,3 +407,17 @@ def test_module_entry_point():
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["order"] == 6
+
+
+def test_nonabelian_report_imports_no_numpy_ma():
+    # a plain np.unique imports numpy.ma (8-15 ms at start-up); the
+    # commutator subgroup and the quotient by it take other routes
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "zcenter.cli",
+         "center-report", "--group", "S4", "--cocycle", "zero", "--json"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    modules = {line.rsplit("|", 1)[-1].strip()
+               for line in proc.stderr.splitlines()
+               if line.startswith("import time:")}
+    assert "numpy" in modules and "numpy.ma" not in modules

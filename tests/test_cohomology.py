@@ -4,9 +4,11 @@ products, and the obstruction 2-cocycle gamma."""
 import itertools
 import json
 import re
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zcenter import cohomology
 from zcenter.cohomology import (Cochain, CocycleError, coboundary, cochain_from_json,
@@ -746,3 +748,141 @@ def test_loader_names_the_first_bad_entry(chunk, bad):
     for entries in ([bad], good * chunk + [bad] + later_bad,
                     good * (chunk // 2) + [[4, 4, 4]] + [bad] + later_bad):
         _assert_loads_like_reference(G, 2, 7, entries)
+
+
+# -- the text reader against json.loads + cochain_from_json ------------
+
+def _load_by_json(G, path):
+    """The loader the array reader must agree with: json.load of the
+    text, then `cochain_from_json`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return cochain_from_json(G, json.load(fh))
+
+
+def _outcome(load, G, path):
+    """What a loader gives: the cochain and correction, or the
+    exception's type and message."""
+    try:
+        f, correction = load(G, path)
+    except Exception as e:  # every error is compared, not handled
+        return type(e), str(e)
+    return (f.degree, f.modulus, f.dense.tolist(),
+            None if correction is None else correction.tolist())
+
+
+# values json.loads reads but the array reader leaves to it, or rejects
+_ODD_VALUES = [True, False, 1.0, 1e3, None, "1", [1], 10 ** 18 - 1,
+               -(10 ** 18 - 1), 10 ** 18, -10 ** 18, 10 ** 19, 2 ** 63,
+               -2 ** 63 - 1]
+# text edits: each is (old, new), applied once, where old occurs
+_TEXT_EDITS = [
+    ("[1", "[-0"), ("[2", "[02"), (" 3", " 1e3"), ("[1", "[1 2"),
+    ("]]", "],]"), ("]", ",]"), ("[", "[ \r\n\t"), (", ", " ,\n  "),
+    ("-", "- "), ("-", "--"), (", ", ",\x0c"), ("[3", "[00"),
+    ("[1", "[+1"), ("[2", "[2.0"), ('"entries"', '"entr\\u0069es"'),
+    ('"entries"', '"entries" '), ("]", "]]"), ("[[", "[[["),
+    ('"modulus"', '"entries": [[1, 2]], "modulus"'),
+    ('"modulus"', '"note": "entries [[", "modulus"'),
+    ('"modulus"', '"note": "\\"entries\\": [[1]]", "modulus"'),
+    ('"modulus"', '"meta": {"entries": [[1, 1, 1]]}, "modulus"'),
+    ('"modulus"', '"entries": 5, "modulus"'),
+]
+
+
+@st.composite
+def _cocycle_files(draw):
+    """Bytes of a cocycle file on C4 in any layout, half of them of
+    well-formed entries, the others with any arity and value, sometimes
+    edited into other JSON or out of JSON."""
+    messy = draw(st.booleans())
+    k = draw(st.integers(0, 3))
+    index = st.sampled_from([1, 1, 2, 2, 3, 3, 0, 4, -1])
+    entries = []
+    for _ in range(draw(st.integers(0, 12))):
+        arity = k + 1
+        if messy and not draw(st.integers(0, 9)):
+            arity = draw(st.integers(0, 5))
+        entry = [draw(index) for _ in range(arity - 1)]
+        entry += [draw(st.integers(-40, 40))] if arity else []
+        if messy and entry and not draw(st.integers(0, 7)):
+            at = draw(st.integers(0, len(entry) - 1))
+            entry[at] = draw(st.sampled_from(_ODD_VALUES))
+        entries.append(entry)
+    fields = {"modulus": 5, "degree": k, "entries": entries}
+    if messy:
+        fields["modulus"] = draw(st.sampled_from([5, 6, 0, True, 2 ** 40]))
+        fields["degree"] = draw(st.sampled_from([k, k, k, 4, None]))
+    if draw(st.booleans()):
+        fields["note"] = draw(st.sampled_from(["", "ω", "entries: [[1]]"]))
+    data = {key: fields[key] for key in draw(st.permutations(list(fields)))}
+    if messy and not draw(st.integers(0, 9)):
+        del data[draw(st.sampled_from(sorted(data)))]
+    layout = draw(st.sampled_from([{}, {"separators": (",", ":")},
+                                   {"indent": 2}, {"indent": "\t"}]))
+    text = json.dumps(data, ensure_ascii=draw(st.booleans()), **layout)
+    if not messy:
+        return text.encode("utf-8")
+    for old, new in draw(st.lists(st.sampled_from(_TEXT_EDITS), max_size=2)):
+        text = text.replace(old, new, 1)
+    if not draw(st.integers(0, 9)):
+        text = text[:draw(st.integers(0, len(text)))]
+    if not draw(st.integers(0, 19)):
+        text = "\ufeff" + text
+    raw = text.encode("utf-8")
+    if not draw(st.integers(0, 19)):
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + b"\xff" + raw[at:]
+    return raw
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw=_cocycle_files(), block=st.sampled_from([None, 16, 40]))
+def test_load_cocycle_agrees_with_json(tmp_path_factory, C4, raw, block):
+    path = tmp_path_factory.getbasetemp() / "cocycle.json"
+    path.write_bytes(raw)
+    with patch.object(cohomology, "_BLOCK_CHARS",
+                      block or cohomology._BLOCK_CHARS):
+        got = _outcome(load_cocycle, C4, path)
+    assert got == _outcome(_load_by_json, C4, path)
+
+
+@pytest.mark.parametrize("block", [None, 64])
+@pytest.mark.parametrize("layout", [{}, {"separators": (",", ":")},
+                                    {"indent": 2}])
+def test_canonical_layouts_take_the_array_reader(tmp_path, C4, block,
+                                                 layout):
+    # a dump of cochain_to_json must not need the JSON entry checks
+    rng = np.random.default_rng(5)
+    path = tmp_path / "f.json"
+    for k in range(4):
+        f = random_cochain(C4, k, 9, rng)
+        path.write_text(json.dumps(cochain_to_json(f), **layout))
+        with patch.object(cohomology, "_entry_rows",
+                          side_effect=AssertionError("JSON entry path")), \
+                patch.object(cohomology, "_BLOCK_CHARS",
+                             block or cohomology._BLOCK_CHARS):
+            assert load_cocycle(C4, str(path)) == (f, None)
+
+
+@pytest.mark.parametrize("entries, reads", [
+    ("[]", True), ("[ \n ]", True), ("[[1,2,3]]", True),
+    ("[[-0, 1, -2]]", True), ("[[999999999999999999,1,1]]", True),
+    ("[[-999999999999999999,1,1]]", True), ("[[1,2,3],[1,2,3]]", True),
+    ("[\n  [\n    1,\n    2\n  ]\n]", True), ("[[5,9,-1]]", True),
+    ("[[1000000000000000000,1,1]]", False), ("[[01,1,1]]", False),
+    ("[[1 2,1,1]]", False), ("[[1,2,3],]", False), ("[[1,2,3,]]", False),
+    ("[[1,2],[1,2,3]]", False), ("[[]]", False), ("[[1,[2],3]]", False),
+    ("[[1,true,3]]", False), ("[[1.0,1,1]]", False), ("[[1e3,1,1]]", False),
+    ("[[-,1,1]]", False), ("[[- 1,1,1]]", False), ("[[1-1,1,1]]", False),
+    ("[[+1,1,1]]", False),
+    ("[[1,1,1]", False), ("[[1,1,1]],", False),
+])
+def test_array_reader_subset(entries, reads):
+    text = '{"modulus": 7, "degree": 2, "entries": %s}' % entries
+    read = cohomology._read_entries(text)
+    assert (read is not None) == reads
+    if reads:
+        data, blocks = read
+        assert data == {"modulus": 7, "degree": 2, "entries": []}
+        rows = np.concatenate(blocks) if blocks else np.empty((0, 3))
+        assert rows.tolist() == json.loads(text)["entries"]

@@ -581,6 +581,27 @@ def test_commutator_subgroups(S3, S4, D4, Q8, C6):
     assert commutator_subgroup(C6) == (C6.identity,)
 
 
+def _generated_by_all_commutators(G):
+    """The definition: every g h g^-1 h^-1, closed under products."""
+    T, inv = G.table, G.inverse
+    g = np.arange(G.order)[:, None]
+    elems = {G.identity, *T[T[T[g, g.T], inv[g]], inv[g.T]].ravel().tolist()}
+    while True:
+        arr = np.array(sorted(elems))
+        products = set(T[np.ix_(arr, arr)].ravel().tolist())
+        if products <= elems:
+            return tuple(sorted(elems))
+        elems |= products
+
+
+def test_commutator_subgroup_matches_definition(test_universe, S3, C4, D4,
+                                                Q8, S5, A5):
+    products = [direct_product(S3, S3), direct_product(S3, C4),
+                direct_product(Q8, make_cyclic(3)), direct_product(D4, S3)]
+    for G in [*test_universe, S5, A5, *products]:
+        assert commutator_subgroup(G) == _generated_by_all_commutators(G)
+
+
 # -- subgroup / quotient ----------------------------------------------
 
 def test_subgroup_embedding(S4):
@@ -643,6 +664,21 @@ def test_quotient_rejects_non_normal(S3, S4):
             with pytest.raises(ValueError,
                                match=rf"not normal: witness pair \(g={g}, n={n}\)"):
                 quotient_group(G, elems)
+
+
+def test_quotient_rejects_non_subgroups(S3):
+    orders = S3.element_orders()
+    t = int(np.nonzero(orders == 2)[0][0])
+    r = int(np.nonzero(orders == 3)[0][0])
+    with pytest.raises(ValueError,
+                       match="^subset does not contain the identity$"):
+        quotient_group(S3, [t])
+    elems = (S3.identity, t, r)
+    a, b = min((a, b) for a in elems for b in elems
+               if S3.table[a, b] not in elems)
+    with pytest.raises(ValueError, match=(
+            rf"^subset not closed: {a}\*{b} falls outside it$")):
+        quotient_group(S3, list(elems))
 
 
 def test_quotient_degenerate(S3):
