@@ -49,8 +49,8 @@ def conjugacy_types(G: FiniteGroup) -> ConjugacyTypeResult:
     realizing it.  Each verified batch of `_hom_batches` is matched
     against every residue still without a witness at once, and the
     enumeration stops once every residue has one.  Each witness is
-    re-verified element by element against the defining condition
-    before being returned.
+    re-verified at every element against the defining condition, with
+    powers computed apart from `power_table`, before being returned.
     """
     exp = G.exponent()
     cls = conjugacy_classes(G).class_of
@@ -72,10 +72,10 @@ def conjugacy_types(G: FiniteGroup) -> ConjugacyTypeResult:
         if not len(todo):
             break
     for n, alpha in witnesses.items():
-        for g in range(G.order):
-            if cls[alpha(g)] != cls[G.power(g, n)]:
-                raise AssertionError(
-                    f"witness for type {n} fails at element {g}")
+        bad = cls[alpha.images] != cls[G._power(np.arange(G.order), n)]
+        if bad.any():
+            raise AssertionError(
+                f"witness for type {n} fails at element {bad.argmax()}")
     return ConjugacyTypeResult(group=G, types=set(witnesses),
                                witnesses=witnesses)
 

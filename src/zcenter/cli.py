@@ -315,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "associator cocycles, plus a conjugacy-type harness.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, cocycle=False, spec=False):
+    def add_common(p, handler, cocycle=False, spec=False):
+        p.set_defaults(handler=handler)
         p.add_argument("--group", required=True,
                        help="C<n>, C<a>xC<b>..., S<m>, A<m>, or file:<path>")
         if cocycle:
@@ -329,52 +330,40 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true",
                        help="emit a canonical JSON report")
 
-    add_common(sub.add_parser("group-info", help="order, classes, center"))
+    add_common(sub.add_parser("group-info", help="order, classes, center"),
+               _cmd_group_info)
     add_common(sub.add_parser("cohomology",
                               help="cocycle and coboundary verdicts"),
-               cocycle=True)
+               _cmd_cohomology, cocycle=True)
     add_common(sub.add_parser("obstruction",
                               help="per-class obstruction verdicts"),
-               cocycle=True)
+               _cmd_obstruction, cocycle=True)
     add_common(sub.add_parser("center-report", help="full page/lift report"),
-               cocycle=True)
+               _cmd_center_report, cocycle=True)
     add_common(sub.add_parser("lift", help="central structures on a spec"),
-               cocycle=True, spec=True)
+               _cmd_lift, cocycle=True, spec=True)
     add_common(sub.add_parser("simples", help="count simple central objects"),
-               cocycle=True)
+               _cmd_simples, cocycle=True)
 
     bands = sub.add_parser("bands", help="conjugacy-type harness")
     bsub = bands.add_subparsers(dest="bands_command", required=True)
     bt = bsub.add_parser("types", help="conjugacy types of endomorphisms")
+    bt.set_defaults(handler=_cmd_bands_types)
     bt.add_argument("--group", required=True)
     bt.add_argument("--json", action="store_true")
     bf = bsub.add_parser("families", help="universe-wide residue families")
+    bf.set_defaults(handler=_cmd_bands_families)
     bf.add_argument("--universe", required=True,
                     help="comma-separated group specs")
     bf.add_argument("--json", action="store_true")
     return parser
 
 
-_DISPATCH = {
-    "group-info": _cmd_group_info,
-    "cohomology": _cmd_cohomology,
-    "obstruction": _cmd_obstruction,
-    "center-report": _cmd_center_report,
-    "lift": _cmd_lift,
-    "simples": _cmd_simples,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "bands":
-            handler = (_cmd_bands_types if args.bands_command == "types"
-                       else _cmd_bands_families)
-        else:
-            handler = _DISPATCH[args.command]
-        return handler(args)
+        return args.handler(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -100,18 +100,15 @@ class Cochain:
     @property
     def values(self) -> dict:
         if self._values is None:
-            nz = np.argwhere(self.dense) if self.degree else None
-            if self.degree == 0:
-                self._values = {(): int(self.dense)} if self.dense else {}
-            else:
-                self._values = {tuple(int(i) for i in idx):
-                                int(self.dense[tuple(idx)]) for idx in nz}
+            self._values = {tuple(int(i) for i in idx):
+                            int(self.dense[tuple(idx)])
+                            for idx in np.argwhere(self.dense)}
         return self._values
 
     def __call__(self, *args) -> int:
         if len(args) != self.degree:
             raise ValueError(f"expected {self.degree} arguments")
-        return int(self.dense[args]) if self.degree else int(self.dense)
+        return int(self.dense[args])
 
     def is_zero(self) -> bool:
         return not np.any(self.dense)
@@ -143,8 +140,6 @@ class Cochain:
 
     def restrict(self, H: FiniteGroup, embed: np.ndarray) -> "Cochain":
         """Pull back along a subgroup embedding (embed: H-index -> G-index)."""
-        if self.degree == 0:
-            return Cochain(H, 0, self.modulus, dense=self.dense)
         ix = np.ix_(*([embed] * self.degree))
         return Cochain(H, self.degree, self.modulus, dense=self.dense[ix])
 
@@ -296,16 +291,6 @@ def is_coboundary(f: Cochain) -> CohomologyClassVerdict:
 
 # -- concrete cocycles -------------------------------------------------
 
-def _factor_coords(G: FiniteGroup, idx: int) -> np.ndarray:
-    """Coordinate of every element in cyclic factor idx (row-major)."""
-    factors = G.cyclic_factors
-    stride = 1
-    for f in factors[idx + 1:]:
-        stride *= f
-    ar = np.arange(G.order, dtype=np.int64)
-    return (ar // stride) % factors[idx]
-
-
 def cup3(G: FiniteGroup, i: int, j: int, k: int, N: int) -> Cochain:
     """Triple cup product of coordinate characters on a product of cyclics.
 
@@ -327,9 +312,9 @@ def cup3(G: FiniteGroup, i: int, j: int, k: int, N: int) -> Cochain:
                 f"modulus {N} not divisible by factor order {order}")
     g = math.gcd(math.gcd(G.cyclic_factors[i], G.cyclic_factors[j]),
                  G.cyclic_factors[k])
-    cx = _factor_coords(G, i) % g
-    cy = _factor_coords(G, j) % g
-    cz = _factor_coords(G, k) % g
+    # each element's coordinates, in the row-major order of direct_product
+    coords = np.unravel_index(np.arange(G.order), G.cyclic_factors)
+    cx, cy, cz = (coords[t] % g for t in (i, j, k))
     prod = (cx[:, None, None] * cy[None, :, None] * cz[None, None, :]) % g
     return Cochain(G, 3, N, dense=prod * (N // g))
 

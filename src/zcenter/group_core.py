@@ -64,7 +64,7 @@ class FiniteGroup:
     The table is validated on construction: two-sided identity, two-sided
     inverses, and associativity, which is exact at every order: Light's
     test checks (gh)k = g(hk) for all h, k at each g of a generating set
-    (two elements where `_bfs` proves a pair generates), which decides it
+    (two elements where `_reached` shows a pair generates), which decides it
     for every g; only a failing table goes on to the greedy
     `generating_sequence`, whose scan names the first failing triple.  A
     group table is Latin, so the Latin check runs only on a table that
@@ -149,28 +149,15 @@ class FiniteGroup:
         """
         if "orders" not in self._cache:
             n = self.order
-            T = self.table
-
-            def powers(x, k):
-                # x**k elementwise by square-and-multiply on the table
-                acc = np.full(n, self.identity, dtype=np.int32)
-                while k:
-                    if k & 1:
-                        acc = T[acc, x]
-                    k >>= 1
-                    if k:
-                        x = T[x, x]
-                return acc
-
             orders = np.ones(n, dtype=np.int64)
             for p in _prime_factors(n):
                 m = n
                 while m % p == 0:
                     m //= p
-                cur = powers(np.arange(n), m)
+                cur = self._power(np.arange(n), m)
                 while (live := cur != self.identity).any():
                     orders[live] *= p
-                    cur = powers(cur, p)
+                    cur = self._power(cur, p)
             self._cache["orders"] = orders
         return self._cache["orders"]
 
@@ -180,15 +167,19 @@ class FiniteGroup:
         return self._cache["exponent"]
 
     def power(self, g: int, k: int) -> int:
-        """g**k via square-and-multiply on the table."""
-        k %= int(self.element_orders()[g])
-        acc = self.identity
-        base = g
+        """g**k for any integer k, reduced mod ord(g)."""
+        return int(self._power(np.array(g), k % int(self.element_orders()[g])))
+
+    def _power(self, x: np.ndarray, k: int) -> np.ndarray:
+        """x**k elementwise, k >= 0, by square-and-multiply on the table."""
+        T = self.table
+        acc = np.full(np.shape(x), self.identity, dtype=np.int32)
         while k:
             if k & 1:
-                acc = int(self.table[acc, base])
-            base = int(self.table[base, base])
+                acc = T[acc, x]
             k >>= 1
+            if k:
+                x = T[x, x]
         return acc
 
     def power_table(self, upto: int) -> np.ndarray:
@@ -310,10 +301,39 @@ def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
                        cyclic_factors=factors)
 
 
-def _perm_group(perms: list[tuple[int, ...]], label: str) -> FiniteGroup:
-    m = len(perms[0])
-    P = np.array(perms, dtype=np.int64)
-    n = len(P)
+def make_symmetric(m: int) -> FiniteGroup:
+    """S(m), elements in lexicographic one-line order."""
+    return _perm_group(_permutations("S", m), f"S{m}")
+
+
+def make_alternating(m: int) -> FiniteGroup:
+    """A(m): even permutations, lexicographic one-line order."""
+    return _perm_group(_permutations("A", m), f"A{m}")
+
+
+def _permutations(name: str, m: int) -> np.ndarray:
+    """The elements of S(m) (name "S") or A(m) ("A") as rows of one-line
+    notation, in lexicographic order, once m passes the size guards."""
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
+    if m > 8:
+        raise ValueError(f"{name}({m}) exceeds the m <= 8 bound")
+    order = math.factorial(m) // (2 if name == "A" else 1)
+    if order > MAX_TABLE_ORDER:
+        raise ValueError(
+            f"{name}({m}) has order {order}; its table exceeds the "
+            f"memory guard ({MAX_TABLE_ORDER})")
+    P = np.array(list(itertools.permutations(range(m))), dtype=np.int64)
+    if name == "A":
+        # an even permutation has an even number of inversions
+        i, j = np.triu_indices(m, 1)
+        P = P[(P[:, i] > P[:, j]).sum(axis=1) % 2 == 0]
+    return P
+
+
+def _perm_group(P: np.ndarray, label: str) -> FiniteGroup:
+    """The group of the permutations in the rows of P, in row order."""
+    n, m = P.shape
     # a permutation's base-m digits index it directly (m^m <= 7^7 cells)
     weights = m ** np.arange(m, dtype=np.int64)
     index = np.zeros(m ** m, dtype=np.int32)
@@ -346,45 +366,6 @@ def _perm_group(perms: list[tuple[int, ...]], label: str) -> FiniteGroup:
                 found.append(new)
             frontier = np.concatenate(found)
     return FiniteGroup(table, label=label)
-
-
-def make_symmetric(m: int) -> FiniteGroup:
-    """S(m), elements in lexicographic one-line order."""
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    if m > 8:
-        raise ValueError(f"S({m}) exceeds the m <= 8 bound")
-    if math.factorial(m) > MAX_TABLE_ORDER:
-        raise ValueError(
-            f"S({m}) has order {math.factorial(m)}; its table exceeds the "
-            f"memory guard ({MAX_TABLE_ORDER})")
-    perms = list(itertools.permutations(range(m)))
-    return _perm_group(perms, f"S{m}")
-
-
-def _parity(p: tuple[int, ...]) -> int:
-    inv = 0
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            if p[i] > p[j]:
-                inv += 1
-    return inv & 1
-
-
-def make_alternating(m: int) -> FiniteGroup:
-    """A(m): even permutations, lexicographic one-line order."""
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    if m > 8:
-        raise ValueError(f"A({m}) exceeds the m <= 8 bound")
-    if math.factorial(m) // 2 > MAX_TABLE_ORDER:
-        raise ValueError(
-            f"A({m}) has order {math.factorial(m) // 2}; its table exceeds "
-            f"the memory guard ({MAX_TABLE_ORDER})")
-    if m == 1:
-        return FiniteGroup([[0]], label="A1")
-    perms = [p for p in itertools.permutations(range(m)) if _parity(p) == 0]
-    return _perm_group(perms, f"A{m}")
 
 
 # -- conjugacy, centralizers, subgroups --------------------------------
@@ -432,18 +413,22 @@ def center(G: FiniteGroup) -> tuple[int, ...]:
     return centralizer(G, generating_sequence(G) or [G.identity])
 
 
-def _bfs(G: FiniteGroup, gens) -> np.ndarray:
-    """Rows (element, parent, generator position), element = parent*gen.
+def _reached(G: FiniteGroup, gens) -> np.ndarray:
+    """Mask of the products of gens, the identity included."""
+    reached = np.zeros(G.order, dtype=bool)
+    reached[G.identity] = True
+    for rows in _bfs_layers(G, gens):
+        reached[rows[:, 0]] = True
+    return reached
+
+
+def _bfs_layers(G: FiniteGroup, gens) -> list[np.ndarray]:
+    """Rows (element, parent, generator position), element = parent*gen,
+    one array per distance from the identity.
 
     Breadth-first from the identity by right multiplication, so the rows
     reach every product of generators but the identity, parents first.
     """
-    return np.concatenate([np.empty((0, 3), dtype=np.int64),
-                           *_bfs_layers(G, gens)])
-
-
-def _bfs_layers(G: FiniteGroup, gens) -> list[np.ndarray]:
-    """The rows of `_bfs`, one array per distance from the identity."""
     gens = np.asarray(gens, dtype=np.int64)
     k = len(gens)
     seen = np.zeros(G.order, dtype=bool)
@@ -476,13 +461,12 @@ def commutator_subgroup(G: FiniteGroup) -> tuple[int, ...]:
     a, b = gens[:, None], gens[None, :]
     closure = T[T[T[a, b], inv[a]], inv[b]].ravel()
     while True:
-        elems = np.append(_bfs(G, closure)[:, 0], G.identity)
-        inside = np.zeros(G.order, dtype=bool)
-        inside[elems] = True
+        inside = _reached(G, closure)
+        elems = np.flatnonzero(inside)
         conj = T[T[inv[gens][:, None], elems], gens[:, None]]
         outside = conj[~inside[conj]]
         if not len(outside):
-            return tuple(int(x) for x in np.sort(elems))
+            return tuple(int(x) for x in elems)
         closure = np.append(closure, outside[0])
 
 
@@ -559,8 +543,7 @@ def generating_sequence(G: FiniteGroup) -> list[int]:
     """
     if "gens" not in G._cache:
         gens: list[int] = []
-        reached = np.zeros(G.order, dtype=bool)
-        reached[G.identity] = True
+        reached = _reached(G, gens)
         for g in range(G.order):
             if not reached[g]:
                 gens.append(g)
@@ -568,7 +551,7 @@ def generating_sequence(G: FiniteGroup) -> list[int]:
                     # a group's generators each at least double the subgroup
                     # reached, so this table is no group's; refuse if not Latin
                     G._refuse()
-                reached[_bfs(G, gens)[:, 0]] = True
+                reached = _reached(G, gens)
         G._cache["gens"] = gens
     return G._cache["gens"]
 
@@ -577,23 +560,22 @@ def _short_generators(G: FiniteGroup) -> list[int]:
     """A generating set of G no longer than `generating_sequence`.
 
     With c = g1*g2*...*gk and c' = gk*...*g1 over the greedy generators
-    g1..gk, the first pair (gi, c), then (gi, c'), that `_bfs` proves
+    g1..gk, the first pair (gi, c), then (gi, c'), that `_reached` proves
     generating; the greedy sequence itself if it has at most two
     elements, if they commute pairwise (an abelian group needs its full
-    rank), or if no such pair generates.  Uses only `_bfs` and table
+    rank), or if no such pair generates.  Uses only `_reached` and table
     lookups, so it is sound on a table not yet known to be associative.
     """
     if "short_gens" not in G._cache:
         gens = generating_sequence(G)
         T = G.table
-        block = T[np.ix_(gens, gens)]
         short = gens
-        if len(gens) > 2 and not np.array_equal(block, block.T):
+        if len(gens) > 2 and not G.is_abelian():
             c = c_rev = gens[0]
             for g in gens[1:]:
                 c, c_rev = int(T[c, g]), int(T[g, c_rev])
             short = next(([g, t] for t in (c, c_rev) for g in gens
-                          if len(_bfs(G, [g, t])) == G.order - 1), gens)
+                          if _reached(G, [g, t]).all()), gens)
         G._cache["short_gens"] = short
     return G._cache["short_gens"]
 
@@ -658,8 +640,8 @@ def _hom_batches(G: FiniteGroup, H: FiniteGroup):
     in lexicographic order, in which each image, and each product of two
     images, has an order dividing that of its generator or product of
     generators; the filters act on a whole level of prefixes at once.
-    A candidate's images are filled one distance of
-    `_bfs` from the identity at a time, with one gather per distance, and
+    A candidate's images are filled one `_bfs_layers` distance from the
+    identity at a time, with one gather per distance, and
     each batch is checked exactly, once per candidate, by one call of
     `_is_hom`; the batches come out in candidate order.  Prefixes are
     extended in chunks, so no temporary exceeds a fixed multiple of
@@ -782,9 +764,7 @@ def group_from_json(data: dict) -> tuple[FiniteGroup, np.ndarray | None]:
         return G, None
     e = G.identity
     new_order = [e] + [g for g in range(n) if g != e]
-    relabel = np.empty(n, dtype=np.int32)
-    for new, old in enumerate(new_order):
-        relabel[old] = new
+    relabel = np.argsort(new_order).astype(np.int32)
     new_table = relabel[G.table[np.ix_(new_order, new_order)]]
     G2 = FiniteGroup(new_table, label=lbl)
     G2.relabeling = relabel

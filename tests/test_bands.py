@@ -23,6 +23,29 @@ def test_abelian_groups_admit_every_residue(C6, C2xC4, C2cubed):
         assert res.types == set(range(G.exponent()))
 
 
+@pytest.mark.parametrize("spec,bad_n,bad_g,first", [
+    ("C2", 1, 1, 1),       # M[1] becomes the trivial map, a real hom
+    ("S3", 2, (3, 4), 3),  # both 3-cycles squared to e: the first fails
+], ids=["C2", "S3"])
+def test_witness_recheck_catches_a_wrong_power_table(monkeypatch, spec,
+                                                     bad_n, bad_g, first):
+    """The re-check computes powers apart from power_table, so a witness
+    matched against a wrong power table is refused."""
+    G = parse_group_spec(spec)
+    real = type(G).power_table
+
+    def wrong(self, upto):
+        P = real(self, upto)
+        P[bad_g, bad_n] = self.identity
+        return P
+
+    monkeypatch.setattr(type(G), "power_table", wrong)
+    with pytest.raises(AssertionError,
+                       match=f"^witness for type {bad_n} fails at element "
+                             f"{first}$"):
+        conjugacy_types(G)
+
+
 def test_s3_types(S3):
     res = conjugacy_types(S3)
     assert res.modulus == 6

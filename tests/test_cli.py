@@ -307,15 +307,57 @@ GOLDEN_STDOUT = [
      "fcfb0c50ff81f0dc32299be32c0b451e27307cb4762fb535aa4fb0b44dada450"),
     (("obstruction", "--group", "C3xC3xC3", "--cocycle", "cup:0,1,2"),
      "99a3742a5f5d6866b3c04ffd1d8f7f8d1f196c0856a4d6fbc35ba508e752ea7b"),
+    # recorded before the group layer's power, permutation-group and
+    # reach-mask code was written once; C4xC2 has mixed factor orders
+    (("group-info", "--group", "S7", "--json"),
+     "024ee20a651289ba95c26392d411bd8fb497d4d8152469adb5d17b0e22d7eb86"),
+    (("group-info", "--group", "A6", "--json"),
+     "ab6b744ce71b6478b0ff35b503eb6a2585070edb1a36d79aea8c036860eb73a9"),
+    (("group-info", "--group", "A1", "--json"),
+     "72e173d2cdd3cecc7b7e3ec2bb578ebf70a3fa27fbc3c03d81c11e5d3f53c029"),
+    (("bands", "types", "--group", "A6", "--json"),
+     "9d92082e38ba8d4922c67e399da326491122b9e500ccb9ff9475df6dd756db23"),
+    (("bands", "types", "--group", "C2xC2xC2xC2", "--json"),
+     "6e91e4d45c1efb1817698933a6a8ce3ef8623145b6989cf154ba6f23cd9ac33f"),
+    (("bands", "families", "--universe", "S3,C4,S4,C6,A4", "--json"),
+     "3fbe6bc965799e66e60bd56350f9f56e2e46d56248347860f1f0855a984a2201"),
+    (("center-report", "--group", "C4xC2", "--cocycle", "cup:0,0,1",
+      "--json"),
+     "f98464a65a4b7d41a3416f960948bd61ec066a921187b1c2ec9aec8001adbfe1"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT,
-                         ids=["-".join(a[0:5:2]) for a, _ in GOLDEN_STDOUT])
+                         ids=["-".join(x for x in a if not x.startswith("--"))
+                              for a, _ in GOLDEN_STDOUT])
 def test_stdout_matches_recorded_digest(capsys, argv, digest):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_relabeled_file_group_matches_recorded_digest(capsys, tmp_path):
+    # S3 with its elements renamed, the identity at index 3
+    path = tmp_path / "relabeled.json"
+    path.write_text(json.dumps({"order": 6, "label": "rel", "table": [
+        [3, 2, 1, 0, 5, 4], [5, 4, 0, 1, 3, 2], [4, 5, 3, 2, 0, 1],
+        [0, 1, 2, 3, 4, 5], [2, 3, 5, 4, 1, 0], [1, 0, 4, 5, 2, 3]]}))
+    code, out, err = run(capsys, "group-info", "--group", f"file:{path}",
+                         "--json")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7cb463c3e51f03e21b7a851c77f3f57109900e589825f9bd83579c66e105841b")
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("S8", "S(8) has order 40320; its table exceeds the memory guard (10000)"),
+    ("A8", "A(8) has order 20160; its table exceeds the memory guard (10000)"),
+    ("S9", "S(9) exceeds the m <= 8 bound"),
+    ("A0", "need m >= 1, got 0"),
+], ids=["S8", "A8", "S9", "A0"])
+def test_permutation_group_refusals(capsys, spec, message):
+    assert run(capsys, "group-info", "--group", spec) == (
+        2, "", f"error: {message}\n")
 
 
 def test_lift_counts(capsys):

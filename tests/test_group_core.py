@@ -471,6 +471,13 @@ def test_power_and_power_table(S4):
     assert S4.exponent() == 12
 
 
+def test_negative_powers_are_inverses(S4):
+    for g in range(S4.order):
+        assert S4.power(g, -1) == S4.inverse[g]
+        for k in range(1, 13):
+            assert S4.mul(S4.power(g, k), S4.power(g, -k)) == S4.identity
+
+
 # -- conjugacy and centralizers ---------------------------------------
 
 def test_class_sizes(S3, S4, A4, D4, Q8):
@@ -561,6 +568,23 @@ def test_perm_group_tables_match_composition():
             want = [[pos[tuple(p[x] for x in q)] for q in perms]
                     for p in perms]
             assert make(m).table.tolist() == want, (make.__name__, m)
+
+
+def test_permutations_are_the_lexicographic_even_ones():
+    for m in range(1, 6):
+        perms = list(itertools.permutations(range(m)))
+        even = [p for p in perms
+                if sum(p[i] > p[j] for i in range(m)
+                       for j in range(i + 1, m)) % 2 == 0]
+        for name, want in (("S", perms), ("A", even)):
+            got = group_core._permutations(name, m).tolist()
+            assert got == [list(p) for p in want], (name, m)
+        assert make_alternating(m).order == len(even)
+
+
+def test_order_one_permutation_groups():
+    for G, label in ((make_symmetric(1), "S1"), (make_alternating(1), "A1")):
+        assert (G.order, G.label, G.table.tolist()) == (1, label, [[0]])
 
 
 def test_centralizer_intersection(S3):
