@@ -1,13 +1,12 @@
-"""Integer linear systems modulo N by elimination over each prime power.
+"""Exact elimination modulo N: the one pivot loop of zcenter.
 
-Solves A x = b (mod N) exactly for integer A, b and any modulus
-1 <= N < 2^31.  Z/N is the product of the local rings Z/p^k over the
-prime powers p^k of N, so the system is solved over each and the
-solutions are combined by the Chinese remainder theorem.  Over Z/p^k,
-elimination that always pivots on an entry of least p-valuation stays
-exact despite the zero divisors (Howell 1986; Storjohann & Mulders,
-"Fast algorithms for linear algebra modulo N", 1998).  Residues stay
-below 2^31, so every product of two of them fits in int64.
+`_echelon` reduces a matrix over Z/p^k, pivoting on an entry of least
+p-valuation, which stays exact despite the zero divisors (Howell 1986;
+Storjohann & Mulders, "Fast algorithms for linear algebra modulo N",
+1998).  `solve_modular_linear` solves A x = b (mod N) over each prime
+power p^k of N and joins the solutions by the Chinese remainder theorem;
+at k = 1 `_echelon` gives `twisted_rep` its row bases and kernels over F_p.
+Residues stay below 2^31, so a product of two fits in int64.
 """
 
 from __future__ import annotations
@@ -32,16 +31,16 @@ def check_modulus(N: int) -> None:
             f"modulus must satisfy 1 <= N < 2^31 = {MAX_MODULUS}, got {N}")
 
 
-def _solve_prime_power(M: np.ndarray, p: int, q: int):
-    """Solve the augmented system M = [A | b] mod q = p^k, or None.
+def _echelon(M: np.ndarray, p: int, q: int, n: int):
+    """Echelon the first n columns of M mod q = p^k in place.
 
-    M is int64 with entries in [0, q) and is overwritten.  Each pivot is
-    the first entry of least valuation p^v in the remaining block, and
-    its row is scaled so that the pivot is p^v.  Every other entry of
-    that row is then divisible by p^v, so back-substitution with the
-    free unknowns at 0 succeeds exactly when the system is solvable.
+    M is int64 with entries in [0, q); its later columns ride along.
+    Each pivot is the first entry of least valuation p^v in the remaining
+    block, and its row is scaled so that the pivot is p^v.  Returns the
+    rank r and the column order cols, in which M[:r, :r] is upper
+    triangular, or None once a row is zero in the first n columns only.
     """
-    m, n = M.shape[0], M.shape[1] - 1
+    m = M.shape[0]
     cols = np.arange(n)
     # every entry of the remaining block is divisible by pv; elimination
     # never lowers the least valuation, so pv only grows
@@ -51,22 +50,24 @@ def _solve_prime_power(M: np.ndarray, p: int, q: int):
         hits = np.flatnonzero(M[r, r:n] % (pv * p))
         if hits.size:
             j = r + int(hits[0])
-        elif not M[r, r:n].any():
-            if M[r, n]:
-                return None
+        elif not M[r, r:].any():
             # a zero equation: drop it by moving the last live row here
             m -= 1
             M[r] = M[m]
             continue
+        elif not M[r, r:n].any():
+            return None
         else:
             ii, jj = np.nonzero(M[r:m, r:n] % (pv * p))
             if not ii.size:
                 pv *= p
                 continue
             i, j = r + int(ii[0]), r + int(jj[0])
-            M[[r, i]] = M[[i, r]]
-        M[:m, [r, j]] = M[:m, [j, r]]
-        cols[[r, j]] = cols[[j, r]]
+            if i != r:
+                M[[r, i]] = M[[i, r]]
+        if j != r:
+            M[:m, [r, j]] = M[:m, [j, r]]
+            cols[[r, j]] = cols[[j, r]]
         M[r, r:] = M[r, r:] * pow(int(M[r, r]) // pv, -1, q) % q
         below = r + 1 + np.flatnonzero(M[r + 1:m, r])
         if below.size:
@@ -75,19 +76,35 @@ def _solve_prime_power(M: np.ndarray, p: int, q: int):
             rows %= q
             M[below, r:] = rows
         r += 1
-    if M[r:m, n].any():
+    # rows from m on are stale copies of dropped rows
+    if M[r:m, n:].any():
         return None
-    y = np.zeros(n, dtype=np.int64)
-    for i in range(r - 1, -1, -1):
-        # reduce each product first: a sum of n raw products overflows
-        s = (int(M[i, n]) - int((M[i, i + 1:r] * y[i + 1:r] % q).sum())) % q
-        d = int(M[i, i])
-        if s % d:
-            return None
-        y[i] = s // d
-    x = np.empty(n, dtype=np.int64)
-    x[cols] = y
-    return x
+    return r, cols
+
+
+def _row_basis_mod_p(M, p: int):
+    """Independent rows B spanning the row space of M mod the prime p,
+    and pivot columns with B[:, pivots] = I."""
+    M = M % p
+    r, cols = _echelon(M, p, p, M.shape[1])
+    for i in range(r - 1, 0, -1):
+        above = M[:i, i:]
+        above -= np.outer(above[:, 0], M[i, i:])
+        above %= p
+    B = np.empty((r, len(cols)), dtype=np.int64)
+    B[:, cols] = M[:r]
+    return B, cols[:r]
+
+
+def _kernel_mod_p(M, p: int) -> np.ndarray:
+    """Independent rows K spanning the right kernel of M mod p: M K^T = 0."""
+    B, pivots = _row_basis_mod_p(M, p)
+    free = np.ones(B.shape[1], dtype=bool)
+    free[pivots] = False
+    K = np.zeros((B.shape[1] - len(B), B.shape[1]), dtype=np.int64)
+    K[:, free] = np.eye(len(K), dtype=np.int64)
+    K[:, pivots] = -B[:, free].T % p
+    return K
 
 
 def solve_modular_linear(A, b, N: int):
@@ -119,9 +136,22 @@ def solve_modular_linear(A, b, N: int):
         q = p
         while N % (q * p) == 0:
             q *= p
-        y = _solve_prime_power(M if q == N else M % q, p, q)
-        if y is None:
+        Mq = M if q == N else M % q
+        found = _echelon(Mq, p, q, n)
+        if found is None:
             return None
+        # each pivot p^v divides its row, so back-substitution with the
+        # free unknowns at 0 fails exactly when there is no solution mod q
+        r, cols = found
+        y = np.zeros(n, dtype=np.int64)
+        for i in range(r - 1, -1, -1):
+            # reduce each product first: a sum of n raw products overflows
+            s = (int(Mq[i, n])
+                 - int((Mq[i, i + 1:r] * y[i + 1:r] % q).sum())) % q
+            d = int(Mq[i, i])
+            if s % d:
+                return None
+            y[i] = s // d
         # (N/q) * ((N/q)^-1 mod q) is 1 mod q and 0 mod N/q
-        x = (x + y * ((N // q) * pow(N // q, -1, q) % N)) % N
+        x[cols] = (x[cols] + y * ((N // q) * pow(N // q, -1, q) % N)) % N
     return x.tolist()

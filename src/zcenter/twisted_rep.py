@@ -18,6 +18,7 @@ chosen by whether G is abelian (the tests cross-check the two):
 
 No floating point anywhere; eigenvalue work happens in F_p with
 p = 1 mod N * exponent and p > 2 sqrt(order), which pins degrees uniquely.
+Row bases and kernels over F_p come from the elimination in `snf`.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 
 from .cohomology import Cochain, _require_cocycle
 from .group_core import FiniteGroup, _prime_factors, conjugacy_classes
+from .snf import _kernel_mod_p, _row_basis_mod_p
 
 __all__ = [
     "TwistedGroupAlgebra",
@@ -142,45 +144,6 @@ def _primitive_root(p: int) -> int:
     raise AssertionError("no primitive root found")
 
 
-def _rref_mod_p(M: np.ndarray, p: int):
-    """Row-reduce mod p; returns (nonzero rows, pivot columns)."""
-    A = (np.array(M, dtype=np.int64) % p).copy()
-    rows, cols = A.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        sel = None
-        for i in range(r, rows):
-            if A[i, c] % p:
-                sel = i
-                break
-        if sel is None:
-            continue
-        A[[r, sel]] = A[[sel, r]]
-        A[r] = (A[r] * pow(int(A[r, c]), p - 2, p)) % p
-        mask = np.ones(rows, dtype=bool)
-        mask[r] = False
-        A[mask] = (A[mask] - np.outer(A[mask, c], A[r])) % p
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return A[:r], pivots
-
-
-def _nullspace_mod_p(M: np.ndarray, p: int) -> np.ndarray:
-    """Rows spanning the right nullspace of M mod p."""
-    R, pivots = _rref_mod_p(M, p)
-    cols = M.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for idx, fc in enumerate(free):
-        basis[idx, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[idx, pc] = (-R[r, fc]) % p
-    return basis
-
-
 def _matpow_mod_p(M: np.ndarray, e: int, p: int) -> np.ndarray:
     """M^e mod p by repeated squaring."""
     out = np.eye(len(M), dtype=np.int64)
@@ -208,14 +171,14 @@ def _eigenspaces(B: np.ndarray, A: np.ndarray, p: int) -> list:
     lam = int(images[0, c]) * pow(int(B[0, c]), p - 2, p) % p
     if (images == lam * B % p).all():
         return [B]
-    B, piv = _rref_mod_p(B, p)
+    B, piv = _row_basis_mod_p(B, p)
     C = (B @ A.T % p)[:, piv]  # row coordinates x act by x -> x C
     I = np.eye(len(C), dtype=np.int64)
     for a in range(p):
         S = _matpow_mod_p((C + a * I) % p, (p - 1) // 2, p)
         if (S == S[0, 0] * I).all():
             continue
-        parts = [_nullspace_mod_p((S.T - t * I) % p, p) for t in (0, 1, p - 1)]
+        parts = [_kernel_mod_p(S.T - t * I, p) for t in (0, 1, p - 1)]
         if sum(len(P) for P in parts) != len(C):
             raise AssertionError(
                 "class matrix is not diagonalisable over F_p; the chosen "

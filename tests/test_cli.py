@@ -14,6 +14,8 @@ import pytest
 
 from zcenter.cli import main
 from zcenter.group_core import conjugacy_classes, make_symmetric
+from zcenter.pointed_center import MAX_LIFT_WORK
+from zcenter.twisted_rep import IrrepProfile
 
 
 def run(capsys, *argv):
@@ -388,6 +390,21 @@ def test_lift_spec_errors(capsys):
         code, _, err = run(capsys, "lift", "--group", "C2",
                            "--cocycle", "zero", "--spec", spec)
         assert code == 2, spec
+
+
+def test_lift_refuses_one_past_the_work_bound(capsys, monkeypatch):
+    # C2^7 has 128 one-dimensional irreducibles per class, so multiplicity
+    # 2^17 is exactly MAX_LIFT_WORK = 2^24 and one more is refused before
+    # any count is computed
+    def no_count(self, m):
+        raise AssertionError("count computed past the bound")
+
+    monkeypatch.setattr(IrrepProfile, "count_of_dim", no_count)
+    code, out, err = run(capsys, "lift", "--group", "C2xC2xC2xC2xC2xC2xC2",
+                         "--cocycle", "zero", "--spec", "0:131073")
+    assert (code, out) == (1, "")
+    assert f"is {131073 * 128}, above the bound MAX_LIFT_WORK" in err
+    assert str(MAX_LIFT_WORK) in err and MAX_LIFT_WORK == 2 ** 24
 
 
 def test_lift_rejects_degree2_file(capsys, tmp_path):

@@ -14,8 +14,9 @@ from zcenter.group_core import (center, centralizer, conjugacy_classes,
                                 direct_product, generating_sequence,
                                 make_cyclic, make_symmetric,
                                 parse_group_spec, subgroup)
-from zcenter.pointed_center import (CentralObjectSpec, PointedCategory,
-                                    center_report, count_simple_central_objects,
+from zcenter.pointed_center import (MAX_LIFT_WORK, CentralObjectSpec,
+                                    PointedCategory, center_report,
+                                    count_simple_central_objects,
                                     e2_00_basis, e_page_report,
                                     kernel_of_characteristic, lift_count,
                                     obstruction, report_to_json)
@@ -255,6 +256,15 @@ def test_lift_count_validation(S3):
         lift_count(C, CentralObjectSpec((1, 0)))
     with pytest.raises(ValueError, match="non-negative"):
         lift_count(C, CentralObjectSpec((1, 0, -1)))
+
+
+def test_lift_work_bound_sums_over_the_spec(C2xC2):
+    # each class has 4 irreducibles: either class alone is within
+    # MAX_LIFT_WORK, and the two together pass it by 4
+    C = cat(C2xC2)
+    half = MAX_LIFT_WORK // 8
+    with pytest.raises(ValueError, match=f"is {MAX_LIFT_WORK + 4}, above"):
+        lift_count(C, CentralObjectSpec((half, half + 1, 0, 0)))
 
 
 def test_lift_count_empty_spec_is_one(S3):

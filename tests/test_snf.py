@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zcenter.snf import MAX_MODULUS, solve_modular_linear
+from zcenter.snf import (MAX_MODULUS, _kernel_mod_p, _row_basis_mod_p,
+                        solve_modular_linear)
 
 
 def brute_solvable(A, b, N):
@@ -157,3 +158,33 @@ def test_modulus_bound():
         solve_modular_linear([[1]], [1], MAX_MODULUS)
     with pytest.raises(ValueError, match="modulus"):
         solve_modular_linear([[1]], [1], 0)
+
+
+# -- row bases and kernels over F_p -----------------------------------
+
+def _rank_mod_p(M, p):
+    return len(_row_basis_mod_p(M, p)[0])
+
+
+@pytest.mark.parametrize("p", [2, 3, 1048573])
+def test_row_basis_and_kernel_mod_p(p):
+    """Seeded matrices of rank at most r, as products of m x r and r x n
+    factors; 1048573 is the largest Dixon prime below the bound."""
+    rng = np.random.default_rng(p)
+    for trial in range(40):
+        m, n = (int(v) for v in rng.integers(1, 9, size=2))
+        r = int(rng.integers(0, min(m, n) + 1))
+        M = (rng.integers(0, p, size=(m, r))
+             @ rng.integers(0, p, size=(r, n)) % p)
+        B, pivots = _row_basis_mod_p(M, p)
+        K = _kernel_mod_p(M, p)
+        assert (B[:, pivots] == np.eye(len(B), dtype=np.int64)).all()
+        assert len(B) <= r and len(B) + len(K) == n
+        assert K.shape == (n - len(B), n)
+        assert not (M @ K.T % p).any()
+        assert _rank_mod_p(K, p) == len(K)
+        assert _rank_mod_p(np.vstack([B, M]), p) == len(B)
+        if p < 5 and n <= 6:
+            X = np.array(list(itertools.product(range(p), repeat=n)))
+            zeros = (~(M @ X.T % p).any(axis=0)).sum()
+            assert zeros == p ** len(K)

@@ -15,8 +15,8 @@ from zcenter.twisted_rep import (PRIME_LIMIT, IrrepProfile,
                                  regular_classes, _abelian_profile,
                                  _class_algebra_profile, _dixon_prime)
 
-from conftest import (bilinear_cochain, pullback, random_cochain,
-                      schur_cover_cocycle)
+from conftest import (bilinear_cochain, make_dihedral4, pullback,
+                      random_cochain, schur_cover_cocycle)
 
 
 def algebra(G, coeffs, N):
@@ -177,6 +177,21 @@ def test_extension_size_guard():
     prof = irrep_profile(TwistedGroupAlgebra(S3, coboundary(phi)))
     assert prof.dimensions == (1, 1, 2)
 
+
+
+def test_largest_prime_on_the_largest_class_algebra():
+    # README "Size bounds" quotes this case: gamma = delta(phi) mod 262143
+    # with phi(1) = 1 takes the value 1, so N' stays 262143 and D4xC2^4
+    # (exponent 4, 80 classes) takes p = 4 * 262143 + 1 = 1048573
+    G = make_dihedral4()
+    for _ in range(4):
+        G = direct_product(G, make_cyclic(2))
+    phi = Cochain(G, 1, 262143, values={1: 1})
+    assert _dixon_prime(4 * 262143, G.order) == 1048573
+    prof = irrep_profile(TwistedGroupAlgebra(G, coboundary(phi)))
+    assert prof.method == "class-algebra"
+    assert list(prof.dimensions) == ordinary_character_degrees(G)
+    assert prof.dimensions == (1,) * 64 + (2,) * 16
 
 SCHUR_COVERS = [(3, True, (2, 2, 2)),     # SL(2,3) -> A4
                 (3, False, (2, 2, 4)),    # GL(2,3) -> S4
