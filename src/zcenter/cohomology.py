@@ -20,7 +20,8 @@ from itertools import chain
 
 import numpy as np
 
-from .group_core import FiniteGroup, _failure_certificate, center
+from .group_core import (FiniteGroup, _failure_certificate, _short_generators,
+                         center)
 from .snf import check_modulus, solve_modular_linear
 
 __all__ = [
@@ -251,8 +252,12 @@ def is_coboundary(f: Cochain) -> CohomologyClassVerdict:
     Solves delta(phi) = f in the normalized unknowns phi (indexed by
     tuples of non-identity elements) as an integer system mod N.  The
     system's columns are delta of the basis cochains of those unknowns,
-    its rows the tuples of non-identity elements.  Non-cocycles are
-    rejected with their failure certificate.
+    its rows the tuples (s, non-identity ..) at the generators s of
+    `_short_generators`.  These suffice: the a with D(a, ..) = 0 for the
+    cocycle D = f - delta(phi) contain e and, as delta(D) = 0, are closed
+    under products.  In degree 3 delta(phi)(d, d, d) = 0 at each
+    involution d, so f(d, d, d) != 0 refuses f before any row is built.
+    Non-cocycles are rejected with their failure certificate.
     """
     if f.degree not in (2, 3):
         raise ValueError("coboundary decision needs degree 2 or 3")
@@ -264,6 +269,9 @@ def is_coboundary(f: Cochain) -> CohomologyClassVerdict:
     if f.is_zero():
         witness = Cochain.zero(G, k - 1, N)
         return CohomologyClassVerdict(True, True, witness)
+    inv = np.flatnonzero(np.diagonal(G.table) == G.identity)
+    if k == 3 and f.dense[inv, inv, inv].any():
+        return CohomologyClassVerdict(True, False, None)
 
     others = [g for g in range(n) if g != G.identity]
     inner = np.ix_(*[others] * (k - 1))
@@ -273,11 +281,12 @@ def is_coboundary(f: Cochain) -> CohomologyClassVerdict:
     basis = np.zeros((n,) * (k - 1) + (nv,), dtype=np.int8)
     basis[inner] = np.eye(nv, dtype=np.int8).reshape(
         (len(others),) * (k - 1) + (nv,))
-    # one row per tuple of non-identity elements; the solver drops
-    # duplicate equations itself, as rows eliminated to zero
-    A = np.concatenate([_delta_slab(basis, G.table, g, k - 1)[inner]
-                        .reshape(-1, nv) for g in others])
-    x = solve_modular_linear(A, f.dense[np.ix_(*[others] * k)].ravel(), N)
+    # the solver drops duplicate equations itself, as rows eliminated to 0
+    S = _short_generators(G)
+    A = np.concatenate([_delta_slab(basis, G.table, s, k - 1)[inner]
+                        .reshape(-1, nv) for s in S])
+    x = solve_modular_linear(
+        A, f.dense[np.ix_(S, *[others] * (k - 1))].ravel(), N)
     if x is None:
         return CohomologyClassVerdict(True, False, None)
     dense = np.zeros((n,) * (k - 1), dtype=np.int64)

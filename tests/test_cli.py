@@ -10,10 +10,12 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from zcenter.cli import main
-from zcenter.group_core import conjugacy_classes, make_symmetric
+from zcenter.group_core import (conjugacy_classes, make_symmetric,
+                                parse_group_spec)
 from zcenter.pointed_center import MAX_LIFT_WORK
 from zcenter.twisted_rep import IrrepProfile
 
@@ -349,6 +351,50 @@ def test_relabeled_file_group_matches_recorded_digest(capsys, tmp_path):
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "7cb463c3e51f03e21b7a851c77f3f57109900e589825f9bd83579c66e105841b")
+
+
+def _coboundary_file(path, spec, phi, N):
+    """Write delta(phi) for a sparse normalized phi of degree 1 or 2."""
+    T = parse_group_spec(spec).table
+    n, k = len(T), len(next(iter(phi))) + 1
+    F = np.zeros((n,) * (k - 1), dtype=np.int64)
+    for key, v in phi.items():
+        F[key] = v
+    if k == 2:
+        f = F[None, :] - F[T] + F[:, None]
+    else:
+        a, b, c = np.ix_(range(n), range(n), range(n))
+        f = F[b, c] - F[T[a, b], c] + F[a, T[b, c]] - F[a, b]
+    entries = [[*map(int, idx), int(f[tuple(idx)] % N)]
+               for idx in np.argwhere(f % N)]
+    path.write_text(json.dumps({"modulus": N, "degree": k,
+                                "entries": entries}))
+    return f"file:{path}"
+
+
+# sha256 of stdout as recorded when coboundary rows came from the generator
+# slabs; kernel work must keep these witnesses (the full-row system gave
+# C3xC3xC3 a witness of 385 entries, the generator rows one of 8)
+COBOUNDARY_WITNESSES = [
+    ("C3xC3xC3", {(1, 2): 1, (4, 9): 2, (13, 26): 1, (5, 5): 2, (20, 7): 1,
+                  (3, 1): 1, (17, 11): 2, (8, 24): 1}, 3,
+     "8ca0b814c1b1d828b6fa7afb826ef0c9c5e33a2b4ebee7aacb99ecb066aaad23"),
+    ("C8xC8", {(1,): 3, (9,): 5, (17,): 1, (40,): 7, (63,): 2, (8,): 4,
+               (27,): 6, (50,): 1}, 8,
+     "c72ff26b973e12d7203212f45625b689e0b67b542c00af7c755f7fef1e46bf78"),
+]
+
+
+@pytest.mark.parametrize("spec,phi,N,digest", COBOUNDARY_WITNESSES,
+                         ids=[w[0] for w in COBOUNDARY_WITNESSES])
+def test_coboundary_witness_matches_recorded_digest(capsys, tmp_path, spec,
+                                                    phi, N, digest):
+    cocycle = _coboundary_file(tmp_path / "cob.json", spec, phi, N)
+    code, out, err = run(capsys, "cohomology", "--group", spec, "--cocycle",
+                         cocycle, "--json")
+    assert code == 0, err
+    assert json.loads(out)["is_coboundary"] is True
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("spec,message", [

@@ -14,14 +14,15 @@ from zcenter import cohomology
 from zcenter.cohomology import (Cochain, CocycleError, coboundary, cochain_from_json,
                                 cochain_to_json, cup3, embed_modulus, gamma,
                                 is_coboundary, is_cocycle, load_cocycle,
-                                _delta_dense)
+                                _delta_dense, _delta_slab)
 from zcenter.group_core import (direct_product, make_cyclic, make_symmetric,
-                                centralizer, generating_sequence,
-                                parse_group_spec, subgroup,
-                                _short_generators)
+                                centralizer, enumerate_homomorphisms,
+                                generating_sequence, parse_group_spec,
+                                subgroup, _short_generators)
+from zcenter.snf import solve_modular_linear
 
 from conftest import (bilinear_cochain, pullback, random_cochain,
-                      shifted, sign_cocycle)
+                      shifted, sign_cocycle, sign_images)
 
 
 # -- cochain mechanics -------------------------------------------------
@@ -387,6 +388,109 @@ def test_modulus_bound(C2, C2cubed):
         with pytest.raises(ValueError, match="2147483648"):
             build()
     assert Cochain(C2, 2, 2 ** 31 - 1).modulus == 2 ** 31 - 1
+
+
+def _full_system(f):
+    """The (n-1)^k-row system delta(phi) = f over every tuple of
+    non-identity elements, rows in row-major tuple order."""
+    G, k = f.group, f.degree
+    others = [g for g in range(G.order) if g != G.identity]
+    inner = np.ix_(*[others] * (k - 1))
+    nv = len(others) ** (k - 1)
+    basis = np.zeros((G.order,) * (k - 1) + (nv,), dtype=np.int8)
+    basis[inner] = np.eye(nv, dtype=np.int8).reshape(
+        (len(others),) * (k - 1) + (nv,))
+    A = np.concatenate([_delta_slab(basis, G.table, g, k - 1)[inner]
+                        .reshape(-1, nv) for g in others])
+    return A, f.dense[np.ix_(*[others] * k)].ravel(), others
+
+
+def _carry_cocycle_c4xc4():
+    """x_0 [y_1 + z_1 >= 4] mod 4 on C4xC4, a class of H^3 that is no
+    coboundary."""
+    G = parse_group_spec("C4xC4")
+    x0, x1 = np.divmod(np.arange(16), 4)
+    carry = (x1[:, None] + x1[None, :]) // 4
+    return Cochain(G, 3, 4, dense=x0[:, None, None] * carry[None])
+
+
+def _decision_inputs():
+    """Seeded coboundaries in degrees 2 and 3, every valid cup3 triple,
+    a non-symmetric bicharacter, pullbacks along G -> C2 and A4 -> C3,
+    and the carry cocycle on C4xC4."""
+    rng = np.random.default_rng(41)
+    C2, C3 = make_cyclic(2), make_cyclic(3)
+    for spec in ("C2", "C4", "C6", "C2xC2", "C4xC2", "C3xC3", "C2xC2xC2",
+                 "C2xC6", "S3", "A4", "S4"):
+        G = parse_group_spec(spec)
+        N = G.exponent()
+        for degree in (2, 3):
+            # one degree-3 system on S4 (12,167 full rows) takes 1.8 s
+            for M in (N,) if G.order > 12 and degree == 3 else (N, 2 * N):
+                yield coboundary(random_cochain(G, degree - 1, M, rng))
+        if G.cyclic_factors is not None:
+            r = len(G.cyclic_factors)
+            for t in itertools.product(range(r), repeat=3):
+                yield cup3(G, *t, N)
+            yield bilinear_cochain(G, {(0, r - 1): 1}, N)
+    for spec in ("S3", "S4"):
+        G = parse_group_spec(spec)
+        sign = sign_images(G)
+        yield pullback(bilinear_cochain(C2, {(0, 0): 1}, 2), G, sign)
+        yield sign_cocycle(G, 2)
+        yield sign_cocycle(G, 2) + coboundary(random_cochain(G, 2, 2, rng))
+    A4 = parse_group_spec("A4")
+    onto = next(a.images for a in enumerate_homomorphisms(A4, C3)
+                if len(set(a.images.tolist())) == 3)
+    yield pullback(cup3(C3, 0, 0, 0, 3), A4, onto)
+    yield _carry_cocycle_c4xc4()
+
+
+def test_generator_rows_decide_like_the_full_system():
+    verdicts = set()
+    for f in _decision_inputs():
+        A, b, _ = _full_system(f)
+        full = solve_modular_linear(A, b, f.modulus) is not None
+        v = is_coboundary(f)
+        assert v.is_coboundary == full, (f.group.label, f.degree, f.modulus)
+        if full:
+            assert coboundary(v.witness) == f
+        verdicts.add((f.degree, full))
+    assert verdicts == {(2, False), (2, True), (3, False), (3, True)}
+
+
+@pytest.mark.parametrize("spec", ["C2xC2xC2", "C4xC2", "S3", "A4", "C6"])
+def test_zero_rows_are_the_involution_diagonals(spec):
+    G = parse_group_spec(spec)
+    # mod 2 a row vanishes whenever all its coefficients are even
+    A, _, others = _full_system(Cochain.zero(G, 3, 2))
+    zero = {tuple(others[i] for i in np.unravel_index(r, (G.order - 1,) * 3))
+            for r in np.flatnonzero(~(A % 2).any(axis=1))}
+    T, e = G.table, G.identity
+    assert zero == {(d, d, d) for d in range(G.order)
+                    if d != e and T[d, d] == e}
+    assert zero
+
+
+def test_involution_diagonal_refuses_before_the_solver():
+    G = parse_group_spec("C2xC2xC2xC2xC2")
+    with patch.object(cohomology, "solve_modular_linear",
+                      side_effect=AssertionError("solver called")):
+        v = is_coboundary(cup3(G, 0, 1, 2, 2))
+    assert v.is_cocycle and v.is_coboundary is False
+
+
+def test_vanishing_diagonals_still_reach_the_solver():
+    G = parse_group_spec("C4xC2xC2xC2")
+    f = cup3(G, 0, 1, 2, 4)
+    d = np.flatnonzero(np.diagonal(G.table) == G.identity)
+    assert not f.dense[d, d, d].any()
+    with patch.object(cohomology, "solve_modular_linear",
+                      wraps=solve_modular_linear) as solve:
+        v = is_coboundary(f)
+    assert solve.call_count == 1
+    assert v.is_cocycle and v.is_coboundary is False
+
 
 def test_alternation_is_shift_invariant(S3, C2xC4):
     """f(g,h) - f(h,g) on commuting pairs survives any coboundary shift.
