@@ -24,11 +24,8 @@ from .group_core import (  # noqa: F401
     conjugacy_classes,
     centralizer,
     center,
-    commutator_subgroup,
-    quotient_group,
     subgroup,
     enumerate_homomorphisms,
-    abelian_invariants,
     load_group,
     parse_group_spec,
 )

@@ -8,7 +8,8 @@ violations print their certificate tuple.
 
 Group specs: "C<n>", "C<a>xC<b>x...", "S<m>", "A<m>", "file:<path>".
 Cocycle specs: "zero", "cup:<i>,<j>,<k>[:<N>]", "file:<path>".
-Spec vectors: "classIndex:multiplicity,..." with absent classes 0.
+Spec vectors: "classIndex:multiplicity,..." with absent classes 0 and
+none named twice.
 The modulus defaults to exponent(G); an explicit --modulus must be a
 multiple of it.  A cocycle file or a cup suffix carries its own
 modulus, which then must not conflict with --modulus.
@@ -110,6 +111,7 @@ def _resolve_cocycle(G: FiniteGroup, spec: str, modulus, degree_needed=None):
 
 def _parse_spec_vector(text: str, class_count: int) -> CentralObjectSpec:
     mult = [0] * class_count
+    given = set()
     text = text.strip()
     if text:
         for part in text.split(","):
@@ -121,6 +123,9 @@ def _parse_spec_vector(text: str, class_count: int) -> CentralObjectSpec:
             if not 0 <= idx < class_count:
                 raise UsageError(
                     f"class index {idx} out of range (0..{class_count - 1})")
+            if idx in given:
+                raise UsageError(f"class index {idx} given more than once")
+            given.add(idx)
             if m < 0:
                 raise UsageError("multiplicities must be non-negative")
             mult[idx] = m

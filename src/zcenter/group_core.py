@@ -2,7 +2,7 @@
 
 Groups are dense objects: an order-n group is an n x n table of element
 indices with table[g][h] = g*h.  Everything downstream (conjugacy,
-centralizers, quotients, homomorphism enumeration) is a finite, fully
+centralizers, subgroups, homomorphism enumeration) is a finite, fully
 checkable computation over that table.
 
 Element index encodings are part of the external contract:
@@ -33,12 +33,9 @@ __all__ = [
     "conjugacy_classes",
     "centralizer",
     "center",
-    "commutator_subgroup",
-    "quotient_group",
     "subgroup",
     "generating_sequence",
     "enumerate_homomorphisms",
-    "abelian_invariants",
     "group_from_json",
     "load_group",
     "parse_group_spec",
@@ -447,29 +444,6 @@ def _bfs_layers(G: FiniteGroup, gens) -> list[np.ndarray]:
     return layers
 
 
-def commutator_subgroup(G: FiniteGroup) -> tuple[int, ...]:
-    """Subgroup generated by all g h g^-1 h^-1.
-
-    It is the normal closure of the commutators of a generating set: the
-    subgroup they generate, grown by a conjugate under a generator that
-    falls outside it until none does.  Each step at least doubles the
-    subgroup.
-    """
-    T = G.table
-    inv = G.inverse
-    gens = np.array(generating_sequence(G), dtype=np.int64)
-    a, b = gens[:, None], gens[None, :]
-    closure = T[T[T[a, b], inv[a]], inv[b]].ravel()
-    while True:
-        inside = _reached(G, closure)
-        elems = np.flatnonzero(inside)
-        conj = T[T[inv[gens][:, None], elems], gens[:, None]]
-        outside = conj[~inside[conj]]
-        if not len(outside):
-            return tuple(int(x) for x in elems)
-        closure = np.append(closure, outside[0])
-
-
 def subgroup(G: FiniteGroup, elements) -> tuple[FiniteGroup, np.ndarray]:
     """Reindex a closed element subset as a group of its own.
 
@@ -480,14 +454,6 @@ def subgroup(G: FiniteGroup, elements) -> tuple[FiniteGroup, np.ndarray]:
     elems = sorted(set(int(x) for x in elements))
     if elems == list(range(G.order)):
         return G, np.arange(G.order, dtype=np.int32)
-    H = FiniteGroup(_closed_table(G, elems),
-                    label=f"{G.label}-sub{len(elems)}")
-    return H, np.array(elems, dtype=np.int32)
-
-
-def _closed_table(G: FiniteGroup, elems: list[int]) -> np.ndarray:
-    """The products of a sorted element list, as indices into it; raises
-    unless the list holds the identity and is closed."""
     if G.identity not in elems:
         raise ValueError("subset does not contain the identity")
     embed = np.array(elems, dtype=np.int32)
@@ -498,37 +464,7 @@ def _closed_table(G: FiniteGroup, elems: list[int]) -> np.ndarray:
         a, b = np.argwhere(sub_table < 0)[0]
         raise ValueError(
             f"subset not closed: {elems[a]}*{elems[b]} falls outside it")
-    return sub_table
-
-
-def quotient_group(G: FiniteGroup, normal) -> tuple[FiniteGroup, GroupHom]:
-    """Quotient by a normal subgroup, with the projection hom.
-
-    Cosets are indexed by their minimal element, in ascending order, so
-    the identity coset is index 0.
-    """
-    N = sorted(set(int(x) for x in normal))
-    _closed_table(G, N)  # raises unless N holds the identity and is closed
-    T = G.table
-    inv = G.inverse
-    Na = np.array(N, dtype=np.int32)
-    cert = _failure_certificate(
-        G, lambda g: [~np.isin(T[T[inv[g], Na], g], Na)])
-    if cert is not None:
-        g, bad = cert[0], int(Na[cert[1]])
-        raise ValueError(
-            f"subgroup is not normal: witness pair (g={g}, n={bad}) "
-            f"with g^-1*n*g = {int(T[T[inv[g], bad], g])} outside")
-    coset_rep = T[:, Na].min(axis=1)
-    # each coset's least element is its own representative
-    reps = np.flatnonzero(coset_rep == np.arange(G.order))
-    coset_index = np.full(G.order, -1, dtype=np.int32)
-    coset_index[reps] = np.arange(len(reps), dtype=np.int32)
-    proj = coset_index[coset_rep]
-    q_table = proj[T[np.ix_(reps, reps)]]
-    Q = FiniteGroup(q_table, label=f"{G.label}/N{len(N)}")
-    hom = GroupHom(G, Q, proj)
-    return Q, hom
+    return FiniteGroup(sub_table, label=f"{G.label}-sub{len(elems)}"), embed
 
 
 # -- generating sequences and homomorphisms ----------------------------
@@ -694,7 +630,7 @@ def _hom_batches(G: FiniteGroup, H: FiniteGroup):
     yield from extend(np.empty((1, 0), dtype=np.int64), 0)
 
 
-# -- abelian invariants ------------------------------------------------
+# -- prime factors -----------------------------------------------------
 
 def _prime_factors(n: int) -> list[int]:
     out = []
@@ -708,32 +644,6 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
-
-
-def abelian_invariants(G: FiniteGroup) -> list[int]:
-    """Invariant factors d_1 | d_2 | ... of an abelian group.
-
-    Recovered from element orders: for each prime p the partition of the
-    p-part is the conjugate of k -> log_p #{x : ord(x) divides p^k}.
-    """
-    if not G.is_abelian():
-        raise ValueError("abelian_invariants needs an abelian group")
-    orders = G.element_orders()
-    factors: list[int] = []  # largest first
-    for p in _prime_factors(G.order):
-        # logs[k] = sum_i min(lambda_i, k); its increments give the
-        # conjugate partition, so transpose back
-        logs = [0]
-        while len(logs) == 1 or logs[-1] > logs[-2]:
-            cnt = int((p ** len(logs) % orders == 0).sum())
-            logs.append(next(e for e in range(cnt.bit_length())
-                             if p ** e == cnt))
-        conj = [b - a for a, b in zip(logs, logs[1:])]
-        for i in range(conj[0]):
-            if i == len(factors):
-                factors.append(1)
-            factors[i] *= p ** sum(1 for c in conj if c > i)
-    return sorted(factors)  # ascending divisibility chain
 
 
 # -- file format and CLI group specs -----------------------------------

@@ -5,7 +5,8 @@ p-valuation, which stays exact despite the zero divisors (Howell 1986;
 Storjohann & Mulders, "Fast algorithms for linear algebra modulo N",
 1998).  `solve_modular_linear` solves A x = b (mod N) over each prime
 power p^k of N and joins the solutions by the Chinese remainder theorem;
-at k = 1 `_echelon` gives `twisted_rep` its row bases and kernels over F_p.
+at k = 1 `_echelon` gives `twisted_rep` its row bases and kernels over F_p,
+and `pointed_center` reads e2_11 off its pivots.
 Residues stay below 2^31, so a product of two fits in int64.
 """
 

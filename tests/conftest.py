@@ -13,7 +13,7 @@ import pytest
 from zcenter.cohomology import Cochain, coboundary, cup3
 from zcenter.group_core import (FiniteGroup, center, direct_product,
                                 make_alternating, make_cyclic, make_symmetric,
-                                enumerate_homomorphisms, quotient_group)
+                                enumerate_homomorphisms)
 
 
 def make_dihedral4() -> FiniteGroup:
@@ -79,6 +79,17 @@ def bilinear_cochain(G: FiniteGroup, coeffs: dict, modulus: int) -> Cochain:
     return Cochain(G, 2, modulus, dense=dense)
 
 
+def quotient_by_center(G: FiniteGroup):
+    """(Q, images): G / Z(G), each coset indexed by its least element in
+    ascending order, and images[g] the coset of g.  FiniteGroup validates
+    Q's table, so a wrong coset table fails there."""
+    reps, images = np.unique(G.table[:, list(center(G))].min(axis=1),
+                             return_inverse=True)
+    Q = FiniteGroup(images[G.table[np.ix_(reps, reps)]],
+                    label=f"{G.label}/Z")
+    return Q, images
+
+
 def schur_cover_cocycle(q: int, special: bool, modulus: int):
     """(Q, gamma) with Q = G / Z(G) for G = SL(2, q) or GL(2, q), q prime.
 
@@ -101,14 +112,13 @@ def schur_cover_cocycle(q: int, special: bool, modulus: int):
                       M.reshape(-1, 2, 2)) % q
     G = FiniteGroup(index[prods.reshape(len(M), len(M), 4) @ place],
                     label=f"{'S' if special else 'G'}L(2,{q})")
-    Z = center(G)
-    m = len(Z)
+    m = len(center(G))
     root = next(c for c in range(2, q)
                 if len({pow(c, k, q) for k in range(1, q)}) == q - 1)
     c0 = pow(root, (q - 1) // m, q)
     log = {pow(c0, a, q): a for a in range(m)}
-    Q, proj = quotient_group(G, Z)
-    section = np.unique(proj.images, return_index=True)[1]
+    Q, images = quotient_by_center(G)
+    section = np.unique(images, return_index=True)[1]
     s = section[:, None]
     z = G.table[G.table[s, section[None, :]], G.inverse[section[Q.table]]]
     a = np.vectorize(lambda g: log[int(M[g, 0])])(z)

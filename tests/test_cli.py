@@ -432,10 +432,11 @@ def test_lift_empty_spec(capsys):
 
 
 def test_lift_spec_errors(capsys):
-    for spec in ("1", "0:x", "0:1,1:", "9:1", "0:-1"):
+    for spec in ("1", "0:x", "0:1,1:", "9:1", "0:-1", "0:1,0:2"):
         code, _, err = run(capsys, "lift", "--group", "C2",
                            "--cocycle", "zero", "--spec", spec)
         assert code == 2, spec
+    assert "class index 0 given more than once" in err
 
 
 def test_lift_refuses_one_past_the_work_bound(capsys, monkeypatch):
@@ -515,8 +516,8 @@ def test_module_entry_point():
 
 
 def test_nonabelian_report_imports_no_numpy_ma():
-    # a plain np.unique imports numpy.ma (8-15 ms at start-up); the
-    # commutator subgroup and the quotient by it take other routes
+    # a plain np.unique imports numpy.ma (8-15 ms at start-up); e2_11's
+    # relation rows drop only their zero rows, with no np.unique(axis=0)
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "zcenter.cli",
          "center-report", "--group", "S4", "--cocycle", "zero", "--json"],

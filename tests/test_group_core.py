@@ -9,14 +9,13 @@ import numpy as np
 import pytest
 
 from zcenter import group_core
-from zcenter.group_core import (FiniteGroup, GroupHom, abelian_invariants,
-                                center, centralizer, commutator_subgroup,
+from zcenter.group_core import (FiniteGroup, GroupHom, center, centralizer,
                                 conjugacy_classes, direct_product,
                                 enumerate_homomorphisms, generating_sequence,
                                 group_from_json, load_group, make_alternating,
                                 make_cyclic, make_symmetric, make_trivial,
-                                parse_group_spec, quotient_group, subgroup,
-                                _hom_batches, _is_hom, _short_generators)
+                                parse_group_spec, subgroup, _hom_batches,
+                                _is_hom, _short_generators)
 
 from oracles import brute_force_hom_images
 
@@ -597,36 +596,7 @@ def test_centralizer_intersection(S3):
     assert centralizer(S3, [S3.identity]) == tuple(range(6))
 
 
-def test_commutator_subgroups(S3, S4, D4, Q8, C6):
-    assert len(commutator_subgroup(S3)) == 3
-    assert len(commutator_subgroup(S4)) == 12
-    assert len(commutator_subgroup(D4)) == 2
-    assert commutator_subgroup(Q8) == (0, 1)
-    assert commutator_subgroup(C6) == (C6.identity,)
-
-
-def _generated_by_all_commutators(G):
-    """The definition: every g h g^-1 h^-1, closed under products."""
-    T, inv = G.table, G.inverse
-    g = np.arange(G.order)[:, None]
-    elems = {G.identity, *T[T[T[g, g.T], inv[g]], inv[g.T]].ravel().tolist()}
-    while True:
-        arr = np.array(sorted(elems))
-        products = set(T[np.ix_(arr, arr)].ravel().tolist())
-        if products <= elems:
-            return tuple(sorted(elems))
-        elems |= products
-
-
-def test_commutator_subgroup_matches_definition(test_universe, S3, C4, D4,
-                                                Q8, S5, A5):
-    products = [direct_product(S3, S3), direct_product(S3, C4),
-                direct_product(Q8, make_cyclic(3)), direct_product(D4, S3)]
-    for G in [*test_universe, S5, A5, *products]:
-        assert commutator_subgroup(G) == _generated_by_all_commutators(G)
-
-
-# -- subgroup / quotient ----------------------------------------------
+# -- subgroups ---------------------------------------------------------
 
 def test_subgroup_embedding(S4):
     for seed in ([1], [1, 2], [5]):
@@ -646,71 +616,15 @@ def test_subgroup_rejects_non_closed(S3):
     orders = S3.element_orders()
     t = int(np.nonzero(orders == 2)[0][0])
     r = int(np.nonzero(orders == 3)[0][0])
-    with pytest.raises(ValueError):
-        subgroup(S3, [S3.identity, t, r])
-
-
-def test_quotient_s4_by_klein(S4):
-    # the Klein four subgroup: identity plus the three double transpositions
-    cc = conjugacy_classes(S4)
-    dt = [g for g in range(24)
-          if int(S4.element_orders()[g]) == 2
-          and int(cc.class_sizes[cc.class_of[g]]) == 3]
-    V = [S4.identity] + dt
-    Q, proj = quotient_group(S4, V)
-    assert Q.order == 6 and not Q.is_abelian()
-    kernel = [g for g in range(24) if proj(g) == Q.identity]
-    assert sorted(kernel) == sorted(V)
-
-
-def test_quotient_d4_by_center(D4):
-    Q, proj = quotient_group(D4, center(D4))
-    assert Q.order == 4 and Q.exponent() == 2
-
-
-def test_quotient_rejects_non_normal(S3, S4):
-    """Each cyclic subgroup that is not normal is refused, naming the
-    first witness pair (g, n) in ascending order."""
-    orders = S3.element_orders()
-    t = int(np.nonzero(orders == 2)[0][0])
-    with pytest.raises(ValueError):
-        quotient_group(S3, [S3.identity, t])
-    for G in (S3, S4):
-        T, inv = G.table, G.inverse
-        for x in range(1, G.order):
-            elems = sorted({G.power(x, k) for k in range(G.order)})
-            witnesses = [(g, n) for g in range(G.order) for n in elems
-                         if T[T[inv[g], n], g] not in elems]
-            if not witnesses:
-                assert quotient_group(G, elems)[0].order * len(elems) == G.order
-                continue
-            g, n = witnesses[0]
-            with pytest.raises(ValueError,
-                               match=rf"not normal: witness pair \(g={g}, n={n}\)"):
-                quotient_group(G, elems)
-
-
-def test_quotient_rejects_non_subgroups(S3):
-    orders = S3.element_orders()
-    t = int(np.nonzero(orders == 2)[0][0])
-    r = int(np.nonzero(orders == 3)[0][0])
     with pytest.raises(ValueError,
                        match="^subset does not contain the identity$"):
-        quotient_group(S3, [t])
+        subgroup(S3, [t])
     elems = (S3.identity, t, r)
     a, b = min((a, b) for a in elems for b in elems
                if S3.table[a, b] not in elems)
     with pytest.raises(ValueError, match=(
             rf"^subset not closed: {a}\*{b} falls outside it$")):
-        quotient_group(S3, list(elems))
-
-
-def test_quotient_degenerate(S3):
-    Q, _ = quotient_group(S3, list(range(6)))
-    assert Q.order == 1
-    Q2, proj = quotient_group(S3, [S3.identity])
-    assert Q2.order == 6
-    assert sorted(proj(g) for g in range(6)) == list(range(6))
+        subgroup(S3, list(elems))
 
 
 def test_generating_sequence(test_universe):
@@ -794,20 +708,10 @@ def test_light_test_on_s7_runs_two_slabs(monkeypatch):
     assert len(slabs) == 2 < len(generating_sequence(S7)) == 6
 
 
-def test_normality_and_hom_checks_past_the_short_generators(S4):
-    """Failures that the short set {1, c} of S4 sees only at c: a
-    subgroup normalized by 1 (and by 2) but not by all of S4, and maps
-    multiplicative at every s of H = {0..5} = <1, 2> but not on S4."""
-    T, inv = S4.table, S4.inverse
-    for N, first in (([0, 1], 2), (list(range(6)), 6)):
-        g, n = next((g, n) for g in range(S4.order) for n in N
-                    if T[T[inv[g], n], g] not in N)
-        assert g == first
-        image = int(T[T[inv[g], n], g])
-        with pytest.raises(ValueError, match=(
-                rf"^subgroup is not normal: witness pair \(g={g}, n={n}\) "
-                rf"with g\^-1\*n\*g = {image} outside$")):
-            quotient_group(S4, N)
+def test_hom_checks_past_the_short_generators(S4):
+    """Maps multiplicative at every s of H = {0..5} = <1, 2> but not on
+    S4: failures that the short set {1, c} of S4 sees only at c."""
+    T = S4.table
     # phi(r a) = y_r a on the left cosets r H, with y_e = e
     rng = np.random.default_rng(24)
     H = list(range(6))
@@ -984,37 +888,6 @@ def test_hom_enumeration_memory_is_bounded(monkeypatch):
     monkeypatch.setattr(group_core, "_BLOCK_CELLS", 2 ** 12)
     few, many = peaks()
     assert many < 1.25 * few
-
-
-# -- abelian invariants ------------------------------------------------
-
-def test_abelian_invariants_values(C6, C2xC4, C2cubed, S3):
-    assert abelian_invariants(C6) == [6]
-    assert abelian_invariants(C2xC4) == [2, 4]
-    assert abelian_invariants(C2cubed) == [2, 2, 2]
-    assert abelian_invariants(make_trivial()) == []
-    assert abelian_invariants(
-        direct_product(make_cyclic(2), make_cyclic(3))) == [6]
-    assert abelian_invariants(
-        direct_product(make_cyclic(4), make_cyclic(6))) == [2, 12]
-    for spec, factors in (("C4xC6xC9", [6, 36]), ("C2xC8xC4", [2, 4, 8]),
-                          ("C12xC18", [6, 36]), ("C2xC3xC4xC5", [2, 60])):
-        assert abelian_invariants(parse_group_spec(spec)) == factors
-    with pytest.raises(ValueError):
-        abelian_invariants(S3)
-
-
-def test_abelian_invariants_chain(test_universe):
-    for G in test_universe:
-        if not G.is_abelian():
-            continue
-        inv = abelian_invariants(G)
-        prod = 1
-        for a, b in zip(inv, inv[1:]):
-            assert b % a == 0
-        for d in inv:
-            prod *= d
-        assert prod == G.order
 
 
 # -- serialization -----------------------------------------------------

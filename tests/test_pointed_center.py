@@ -2,6 +2,7 @@
 kernel of the characteristic map, simple object counts."""
 
 import json
+import math
 import sys
 
 import numpy as np
@@ -23,7 +24,7 @@ from zcenter.pointed_center import (MAX_LIFT_WORK, CentralObjectSpec,
 from zcenter.twisted_rep import regular_classes
 
 from conftest import pullback, random_cochain, shifted, sign_cocycle
-from oracles import oracle_lift_count
+from oracles import brute_force_hom_images, oracle_lift_count
 
 
 def cat(G, omega=None, N=2):
@@ -313,29 +314,48 @@ def test_unit_spec_count_is_hom_order_when_untwisted(S3, S4, D4, Q8):
 
 # -- kernel of the characteristic map ---------------------------------
 
-def test_kernel_values(C3cubed, S3, S5, C2xC4, C3):
+def test_kernel_values(C3cubed, S3, S5, C2xC4, C3, C6, C2cubed):
     assert kernel_of_characteristic(cat(C3cubed, N=3)) == (3, 3, 3)
     assert kernel_of_characteristic(cat(S5, N=60)) == (2,)
     assert kernel_of_characteristic(cat(S3, N=6)) == (2,)
     assert kernel_of_characteristic(cat(C2xC4, N=8)) == (2, 4)
     assert kernel_of_characteristic(cat(C3, N=2)) == ()
+    # at N = exp(G) on an abelian G, its invariant factors
+    for G, factors in ((C6, (6,)), (C2xC4, (2, 4)), (C2cubed, (2, 2, 2)),
+                       (parse_group_spec("C1"), ()),
+                       (parse_group_spec("C2xC3"), (6,)),
+                       (parse_group_spec("C4xC6"), (2, 12)),
+                       (parse_group_spec("C2xC8xC4"), (2, 4, 8)),
+                       (parse_group_spec("C2xC3xC4xC5"), (2, 60))):
+        assert kernel_of_characteristic(cat(G, N=G.exponent())) == factors
 
 
-def test_kernel_is_ab_when_modulus_is_exponent(test_universe):
-    from zcenter.group_core import (abelian_invariants, commutator_subgroup,
-                                    quotient_group)
-    for G in test_universe:
-        N = G.exponent()
-        C = cat(G, N=N)
-        kern = kernel_of_characteristic(C)
-        order = 1
-        for d in kern:
-            order *= d
-        Gab = G
-        if not G.is_abelian():
-            Gab, _ = quotient_group(G, commutator_subgroup(G))
-        assert order == Gab.order
-        assert G.order % order == 0
+def test_kernel_counts_homs_to_every_cyclic_quotient(test_universe, S3, S4,
+                                                     A4, S5):
+    """|Hom(G, Z/d)| = prod gcd(f, d) over the factors f at N, for each
+    d | N, by exhaustive scan over images of the greedy generators.  These
+    counts determine the group, not only its order."""
+    groups = [*test_universe, S5,
+              *map(parse_group_spec, ("C1", "C12", "C4xC6", "C2xC8xC4",
+                                      "C2xC3xC4xC5", "C2xC2xC2xC2xC2xC2xC2",
+                                      "C4xC4xC8")),
+              direct_product(S3, make_cyclic(4)),
+              direct_product(A4, make_cyclic(6)),
+              direct_product(S4, parse_group_spec("C2xC2"))]
+    for G in groups:
+        exp = G.exponent()
+        gens = generating_sequence(G)
+        homs = {}  # d -> |Hom(G, Z/d)|, scanned once for all N
+        for N in (exp, 2 * exp, 7 * exp) if exp < 40 else (exp,):
+            factors = kernel_of_characteristic(cat(G, N=N))
+            for d in range(1, N + 1):
+                if N % d or d ** len(gens) * G.order > 2 * 10 ** 5:
+                    continue
+                if d not in homs:
+                    homs[d] = len(brute_force_hom_images(
+                        G, make_cyclic(d), gens=gens))
+                assert math.prod(math.gcd(f, d) for f in factors) \
+                    == homs[d], (G.label, N, d)
 
 
 # -- simple central objects -------------------------------------------

@@ -16,7 +16,8 @@ from zcenter.twisted_rep import (PRIME_LIMIT, IrrepProfile,
                                  _class_algebra_profile, _dixon_prime)
 
 from conftest import (bilinear_cochain, make_dihedral4, pullback,
-                      random_cochain, schur_cover_cocycle)
+                      quotient_by_center, random_cochain,
+                      schur_cover_cocycle)
 
 
 def algebra(G, coeffs, N):
@@ -272,10 +273,9 @@ def test_count_of_dim_matches_brute(C2cubed, S3):
 
 def test_nonabelian_twisted_algebra(D4):
     # pull a nondegenerate form back along D4 -> D4 / center
-    from zcenter.group_core import quotient_group, center
-    Q, proj = quotient_group(D4, center(D4))
+    Q, images = quotient_by_center(D4)
     form = bilinear_cochain_on_klein(Q)
-    w = pullback(form, D4, proj.images)
+    w = pullback(form, D4, images)
     T = TwistedGroupAlgebra(D4, w)
     prof = irrep_profile(T)
     assert sum(d * d for d in prof.dimensions) == 8
