@@ -2,8 +2,10 @@
 
 import itertools
 import json
+import math
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from zcenter.group_core import (FiniteGroup, GroupHom, center, centralizer,
                                 make_cyclic, make_symmetric, make_trivial,
                                 parse_group_spec, subgroup, _hom_batches,
                                 _is_hom, _short_generators)
+from zcenter.pointed_center import kernel_of_characteristic
 
 from oracles import brute_force_hom_images
 
@@ -616,6 +619,16 @@ def test_subgroup_rejects_non_closed(S3):
     orders = S3.element_orders()
     t = int(np.nonzero(orders == 2)[0][0])
     r = int(np.nonzero(orders == 3)[0][0])
+    with pytest.raises(ValueError):
+        subgroup(S3, [S3.identity, t, r])
+
+
+def test_quotient_rejects_non_subgroups(S3):
+    """The exact texts refusing a subset that is not a subgroup, written
+    for quotients first; `subgroup` is now their one source."""
+    orders = S3.element_orders()
+    t = int(np.nonzero(orders == 2)[0][0])
+    r = int(np.nonzero(orders == 3)[0][0])
     with pytest.raises(ValueError,
                        match="^subset does not contain the identity$"):
         subgroup(S3, [t])
@@ -888,6 +901,43 @@ def test_hom_enumeration_memory_is_bounded(monkeypatch):
     monkeypatch.setattr(group_core, "_BLOCK_CELLS", 2 ** 12)
     few, many = peaks()
     assert many < 1.25 * few
+
+
+# -- abelian invariants ------------------------------------------------
+
+def _invariants(G):
+    """Invariant factors of an abelian G, read as those of Hom(G, Z/e)
+    at e = exp(G), which is isomorphic to G.  kernel_of_characteristic
+    reads only the group and the modulus of its category, so this needs
+    no degree-3 cochain, which is bounded at order 128."""
+    return kernel_of_characteristic(
+        SimpleNamespace(group=G, modulus=G.exponent()))
+
+
+def test_abelian_invariants_values(C6, C2xC4, C2cubed, S3):
+    assert _invariants(C6) == (6,)
+    assert _invariants(C2xC4) == (2, 4)
+    assert _invariants(C2cubed) == (2, 2, 2)
+    assert _invariants(make_trivial()) == ()
+    assert _invariants(
+        direct_product(make_cyclic(2), make_cyclic(3))) == (6,)
+    assert _invariants(
+        direct_product(make_cyclic(4), make_cyclic(6))) == (2, 12)
+    for spec, factors in (("C4xC6xC9", (6, 36)), ("C2xC8xC4", (2, 4, 8)),
+                          ("C12xC18", (6, 36)), ("C2xC3xC4xC5", (2, 60))):
+        assert _invariants(parse_group_spec(spec)) == factors
+    # on a non-abelian group the characters see only G / [G, G]
+    assert _invariants(S3) == (2,)
+
+
+def test_abelian_invariants_chain(test_universe):
+    for G in test_universe:
+        if not G.is_abelian():
+            continue
+        inv = _invariants(G)
+        for a, b in zip(inv, inv[1:]):
+            assert b % a == 0
+        assert math.prod(inv) == G.order
 
 
 # -- serialization -----------------------------------------------------

@@ -21,7 +21,8 @@ from zcenter.pointed_center import (MAX_LIFT_WORK, CentralObjectSpec,
                                     e2_00_basis, e_page_report,
                                     kernel_of_characteristic, lift_count,
                                     obstruction, report_to_json)
-from zcenter.twisted_rep import regular_classes
+from zcenter.twisted_rep import (TwistedGroupAlgebra, irrep_profile,
+                                 regular_classes)
 
 from conftest import pullback, random_cochain, shifted, sign_cocycle
 from oracles import brute_force_hom_images, oracle_lift_count
@@ -328,6 +329,18 @@ def test_kernel_values(C3cubed, S3, S5, C2xC4, C3, C6, C2cubed):
                        (parse_group_spec("C2xC8xC4"), (2, 4, 8)),
                        (parse_group_spec("C2xC3xC4xC5"), (2, 60))):
         assert kernel_of_characteristic(cat(G, N=G.exponent())) == factors
+
+
+def test_kernel_is_ab_when_modulus_is_exponent(test_universe):
+    """At N = exp(G), Hom(G, Z/N) is isomorphic to G / [G, G], whose
+    order is the number of linear characters: the 1s among the
+    dimensions of the irreducibles of the untwisted group algebra."""
+    for G in test_universe:
+        order = math.prod(kernel_of_characteristic(cat(G, N=G.exponent())))
+        linear = irrep_profile(
+            TwistedGroupAlgebra(G, Cochain.zero(G, 2, 2))).dimensions
+        assert order == linear.count(1)
+        assert G.order % order == 0
 
 
 def test_kernel_counts_homs_to_every_cyclic_quotient(test_universe, S3, S4,
