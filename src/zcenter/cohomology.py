@@ -64,17 +64,7 @@ class Cochain:
 
     def __init__(self, group: FiniteGroup, degree: int, modulus: int,
                  values=None, dense=None):
-        if not 0 <= degree <= 3:
-            raise ValueError(f"degree must be 0..3, got {degree}")
-        check_modulus(modulus)
-        limit = MAX_ORDER_DEG3 if degree == 3 else MAX_ORDER_DEG_LE2
-        if group.order > limit:
-            raise ValueError(
-                f"group order {group.order} exceeds the degree-{degree} "
-                f"bound {limit}")
-        self.group = group
-        self.degree = degree
-        self.modulus = modulus
+        _check_bounds(group, degree, modulus)
         n = group.order
         if dense is not None:
             arr = np.asarray(dense, dtype=np.int64) % modulus
@@ -90,11 +80,29 @@ class Cochain:
                 if any(not 0 <= g < n for g in key):
                     raise ValueError(f"element index out of range in {key}")
                 arr[key] = v % modulus
+        self._install(group, degree, modulus, arr)
+
+    @classmethod
+    def _owning(cls, group: FiniteGroup, degree: int, modulus: int,
+                dense: np.ndarray) -> "Cochain":
+        """A cochain that takes over `dense`, an int64 array of shape
+        (n,) * degree already reduced mod `modulus`, without copying it;
+        the bounds and the normalization are still checked."""
+        _check_bounds(group, degree, modulus)
+        f = cls.__new__(cls)
+        f._install(group, degree, modulus, dense)
+        return f
+
+    def _install(self, group, degree, modulus, arr):
+        """Set the fields, with arr as the values, once it is normalized."""
         axis = _unnormalized_axis(arr, group.identity)
         if axis is not None:
             raise ValueError(
                 "cochain is not normalized (nonzero on an identity "
                 f"argument, axis {axis})")
+        self.group = group
+        self.degree = degree
+        self.modulus = modulus
         self.dense = arr
         self._values = None
 
@@ -151,6 +159,18 @@ class Cochain:
     def __repr__(self):
         return (f"Cochain(deg={self.degree}, N={self.modulus}, "
                 f"group={self.group.label})")
+
+
+def _check_bounds(group: FiniteGroup, degree: int, modulus: int) -> None:
+    """Refuse a degree, modulus or group order no cochain may have."""
+    if not 0 <= degree <= 3:
+        raise ValueError(f"degree must be 0..3, got {degree}")
+    check_modulus(modulus)
+    limit = MAX_ORDER_DEG3 if degree == 3 else MAX_ORDER_DEG_LE2
+    if group.order > limit:
+        raise ValueError(
+            f"group order {group.order} exceeds the degree-{degree} "
+            f"bound {limit}")
 
 
 @dataclass
@@ -431,7 +451,8 @@ def _cochain_from_rows(G: FiniteGroup, k: int, N: int, blocks):
         last = len(rows) - 1 - np.unique(flat[::-1], return_index=True)[1]
         dense.flat[flat[last]] = rows[last, k] % N
     dense, correction = _normalize(G, k, N, dense)
-    return Cochain(G, k, N, dense=dense), correction
+    # dense is this reader's own, and reduced mod N: no copy is made
+    return Cochain._owning(G, k, N, dense), correction
 
 
 def _json_rows(chunk: list, k: int, n: int, N: int) -> np.ndarray:

@@ -46,9 +46,12 @@ FULL_CHECK_ORDER = 512
 # Homomorphisms `enumerate_homomorphisms` may return: its list holds one
 # `GroupHom` per homomorphism, about 280 bytes each at |G| = 16.
 MAX_HOMS = 1 << 20
-# Hard memory guard: an order-10000 int32 table is ~400 MB; S8 (40320)
-# would need ~6.5 GB and is rejected outright.
+# Hard memory guard: an order-10000 table is 200 MB; S8 (40320) would
+# need ~3.3 GB and is rejected outright.
 MAX_TABLE_ORDER = 10000
+# dtype of every table entry and element index array: the constructors'
+# sums stay below 2 * MAX_TABLE_ORDER, which it holds without wrapping
+_INDEX = np.int16
 # Cells of the largest temporary that a pass over table rows or the
 # homomorphism enumeration builds at once: no temporary grows with the
 # table or with the number of candidates
@@ -78,13 +81,13 @@ class FiniteGroup:
         if n == 0:
             raise ValueError("empty table")
         _check_table_order(n)
-        # checked before the int32 cast, which would truncate or wrap
+        # checked before the cast to _INDEX, which would truncate or wrap
         if table.dtype.kind not in "iu":
             raise ValueError(
                 f"table entries must be integers, got dtype {table.dtype}")
         if table.min() < 0 or table.max() >= n:
             raise ValueError("table entries out of range")
-        self.table = np.ascontiguousarray(table, dtype=np.int32)
+        self.table = np.ascontiguousarray(table, dtype=_INDEX)
         self.order = n
         self.label = label if label is not None else f"order{n}"
         self.cyclic_factors = cyclic_factors
@@ -97,7 +100,7 @@ class FiniteGroup:
     def _validate(self):
         T = self.table
         n = self.order
-        ar = np.arange(n, dtype=np.int32)
+        ar = np.arange(n, dtype=_INDEX)
         # a two-sided identity e has e*0 = 0, so only those rows are tried
         ident = next((int(e) for e in np.nonzero(T[:, 0] == 0)[0]
                       if np.array_equal(T[e], ar)
@@ -108,7 +111,7 @@ class FiniteGroup:
         # rows need not be Latin: take any e in each row, check both sides
         b = max(1, _BLOCK_CELLS // n)  # rows per block
         inv = np.concatenate([np.argmax(T[a:a + b] == ident, axis=1)
-                              for a in range(0, n, b)]).astype(np.int32)
+                              for a in range(0, n, b)]).astype(_INDEX)
         if not ((T[ar, inv] == ident).all() and (T[inv, ar] == ident).all()):
             self._refuse("table has an element without a two-sided inverse")
         self.inverse = inv
@@ -125,7 +128,7 @@ class FiniteGroup:
     def _refuse(self, problem: str | None = None):
         """Raise "not a Latin square" if the table is not one, else problem."""
         T = self.table
-        ar = np.arange(self.order, dtype=np.int32)
+        ar = np.arange(self.order, dtype=_INDEX)
         if not ((np.sort(T, axis=1) == ar).all()
                 and (np.sort(T, axis=0) == ar[:, None]).all()):
             raise ValueError("table is not a Latin square")
@@ -170,7 +173,7 @@ class FiniteGroup:
     def _power(self, x: np.ndarray, k: int) -> np.ndarray:
         """x**k elementwise, k >= 0, by square-and-multiply on the table."""
         T = self.table
-        acc = np.full(np.shape(x), self.identity, dtype=np.int32)
+        acc = np.full(np.shape(x), self.identity, dtype=_INDEX)
         while k:
             if k & 1:
                 acc = T[acc, x]
@@ -182,7 +185,7 @@ class FiniteGroup:
     def power_table(self, upto: int) -> np.ndarray:
         """P[g, k] = g**k for 0 <= k < upto."""
         n = self.order
-        P = np.empty((n, upto), dtype=np.int32)
+        P = np.empty((n, upto), dtype=_INDEX)
         P[:, 0] = self.identity
         ar = np.arange(n)
         for k in range(1, upto):
@@ -218,9 +221,15 @@ class GroupHom:
     def __init__(self, source: FiniteGroup, target: FiniteGroup, images):
         self.source = source
         self.target = target
-        self.images = np.asarray(images, dtype=np.int32)
-        if len(self.images) != source.order:
+        images = np.asarray(images)
+        if images.shape != (source.order,):
             raise ValueError("images array has wrong length")
+        # checked before the cast to _INDEX, which would wrap
+        if (images.dtype.kind not in "iu" or images.min() < 0
+                or images.max() >= target.order):
+            raise ValueError(
+                f"images must be integers in range(0, {target.order})")
+        self.images = images.astype(_INDEX)
         if self.images[source.identity] != target.identity:
             raise ValueError("hom does not preserve the identity")
         if not _is_hom(source, target, self.images):
@@ -228,7 +237,7 @@ class GroupHom:
 
     @classmethod
     def _verified(cls, source: FiniteGroup, target: FiniteGroup, images):
-        """Wrap an int32 image array that `_is_hom` has accepted."""
+        """Wrap an _INDEX image array that `_is_hom` has accepted."""
         hom = cls.__new__(cls)
         hom.source, hom.target, hom.images = source, target, images
         return hom
@@ -278,8 +287,8 @@ def make_cyclic(n: int) -> FiniteGroup:
     """Z/n with table[a][b] = a+b mod n."""
     if n < 1:
         raise ValueError(f"cyclic group order must be >= 1, got {n}")
-    ar = np.arange(_check_table_order(n), dtype=np.int32)
-    table = ar[:, None] + ar[None, :]
+    ar = np.arange(_check_table_order(n), dtype=_INDEX)
+    table = ar[:, None] + ar[None, :]  # at most 2n - 2
     return FiniteGroup(np.remainder(table, n, out=table), label=f"C{n}",
                        cyclic_factors=(n,))
 
@@ -288,8 +297,9 @@ def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
     """Componentwise product; element (a, b) gets index a*|B| + b."""
     m = B.order
     n = _check_table_order(A.order * m)
-    # table[(a, b), (c, d)] = (ac)*|B| + bd, built once as int32
-    table = (A.table[:, None, :, None] * np.int32(m)
+    # table[(a, b), (c, d)] = (ac)*|B| + bd < n, built once as _INDEX; a
+    # wider numpy scalar factor would promote the n^2 temporary
+    table = (A.table[:, None, :, None] * _INDEX(m)
              + B.table[None, :, None, :]).reshape(n, n)
     factors = None
     if A.cyclic_factors is not None and B.cyclic_factors is not None:
@@ -333,12 +343,12 @@ def _perm_group(P: np.ndarray, label: str) -> FiniteGroup:
     n, m = P.shape
     # a permutation's base-m digits index it directly (m^m <= 7^7 cells)
     weights = m ** np.arange(m, dtype=np.int64)
-    index = np.zeros(m ** m, dtype=np.int32)
-    index[P @ weights] = np.arange(n, dtype=np.int32)
-    table = np.empty((n, n), dtype=np.int32)
+    index = np.zeros(m ** m, dtype=_INDEX)
+    index[P @ weights] = np.arange(n, dtype=_INDEX)
+    table = np.empty((n, n), dtype=_INDEX)
     # new rows per gather: with 2^15 cells the allocator reuses the
-    # temporaries' memory; 2^16 and up page-faulted them afresh and
-    # doubled the time of S7's table
+    # temporaries' memory (the gather's intp copy of the indices is the
+    # largest); larger blocks built S7 and A7 no faster
     b = max(1, (1 << 15) // n)
     built = np.zeros(n, dtype=bool)
     seeds: list[int] = []
@@ -387,8 +397,8 @@ def conjugacy_classes(G: FiniteGroup) -> ConjugacyClassData:
             break
     reps, class_of, sizes = np.unique(label, return_inverse=True,
                                       return_counts=True)
-    data = ConjugacyClassData(class_of.astype(np.int32),
-                              reps.astype(np.int32), sizes.astype(np.int64))
+    data = ConjugacyClassData(class_of.astype(_INDEX),
+                              reps.astype(_INDEX), sizes.astype(np.int64))
     G._cache["conjugacy"] = data
     return data
 
@@ -453,12 +463,12 @@ def subgroup(G: FiniteGroup, elements) -> tuple[FiniteGroup, np.ndarray]:
     """
     elems = sorted(set(int(x) for x in elements))
     if elems == list(range(G.order)):
-        return G, np.arange(G.order, dtype=np.int32)
+        return G, np.arange(G.order, dtype=_INDEX)
     if G.identity not in elems:
         raise ValueError("subset does not contain the identity")
-    embed = np.array(elems, dtype=np.int32)
-    pos = np.full(G.order, -1, dtype=np.int32)
-    pos[embed] = np.arange(len(elems), dtype=np.int32)
+    embed = np.array(elems, dtype=_INDEX)
+    pos = np.full(G.order, -1, dtype=_INDEX)
+    pos[embed] = np.arange(len(elems), dtype=_INDEX)
     sub_table = pos[G.table[np.ix_(embed, embed)]]
     if (sub_table < 0).any():
         a, b = np.argwhere(sub_table < 0)[0]
@@ -605,7 +615,7 @@ def _hom_batches(G: FiniteGroup, H: FiniteGroup):
         if level == k:
             for a in range(0, len(prefix), per_check):
                 choice = prefix[a:a + per_check]
-                phi = np.empty((len(choice), n), dtype=np.int32)
+                phi = np.empty((len(choice), n), dtype=_INDEX)
                 phi[:, G.identity] = H.identity
                 for ys, xs, gis in layers:
                     phi[:, ys] = TH[phi[:, xs], choice[:, gis]]
@@ -674,7 +684,7 @@ def group_from_json(data: dict) -> tuple[FiniteGroup, np.ndarray | None]:
         return G, None
     e = G.identity
     new_order = [e] + [g for g in range(n) if g != e]
-    relabel = np.argsort(new_order).astype(np.int32)
+    relabel = np.argsort(new_order).astype(_INDEX)
     new_table = relabel[G.table[np.ix_(new_order, new_order)]]
     G2 = FiniteGroup(new_table, label=lbl)
     G2.relabeling = relabel

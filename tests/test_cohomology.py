@@ -750,6 +750,28 @@ def test_load_cocycle_file(tmp_path, C2cubed):
     assert w2 == w and corr is None
 
 
+def test_readers_adopt_their_dense_array(tmp_path, C4, C2cubed):
+    """Both readers hand their reduced array to `Cochain._owning`, which
+    keeps it without a copy and still checks bounds and normalization."""
+    w = cup3(C2cubed, 0, 1, 2, 2)
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(cochain_to_json(w)))
+    with patch.object(Cochain, "__init__", side_effect=AssertionError):
+        assert load_cocycle(C2cubed, str(path))[0].dense.tolist() == \
+            w.dense.tolist()
+        assert cochain_from_json(C2cubed, cochain_to_json(w))[0].dense \
+            .tolist() == w.dense.tolist()
+    arr = np.zeros((4, 4), dtype=np.int64)
+    arr[1, 2] = 3
+    f = Cochain._owning(C4, 2, 5, arr)
+    assert f.dense is arr and f(1, 2) == 3 and f.values == {(1, 2): 3}
+    arr[0, 1] = 1
+    with pytest.raises(ValueError, match="not normalized"):
+        Cochain._owning(C4, 2, 5, arr)
+    with pytest.raises(ValueError, match="degree-3 bound 128"):
+        Cochain._owning(make_cyclic(129), 3, 2, np.zeros(1, dtype=np.int64))
+
+
 def test_json_round_trip_every_degree(C4):
     # entries come out in sorted index order, exactly as a sorted dict dump
     rng = np.random.default_rng(11)

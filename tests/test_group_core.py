@@ -193,11 +193,12 @@ def test_row_blocks_past_the_first_block():
 
 
 def test_tables_built_in_final_dtype(S3, C4):
-    """Cyclic and product tables are built as int32 in place: the right
-    entries, and a traced peak for C3000 well below the two tables that
-    an out-of-place remainder would hold."""
+    """Cyclic and product tables are built as int16 in place: the right
+    entries, and traced peaks for C3000 and C50xC60 well below the two
+    tables that an out-of-place remainder, or one wider temporary, would
+    hold."""
     P = direct_product(S3, C4)
-    assert P.table.dtype == np.int32
+    assert P.table.dtype == np.int16
     assert P.table.tolist() == [
         [int(S3.table[a, c]) * 4 + int(C4.table[b, d])
          for c in range(6) for d in range(4)]
@@ -207,11 +208,40 @@ def test_tables_built_in_final_dtype(S3, C4):
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     ar = np.arange(3000)
-    assert C.table.dtype == np.int32
+    assert C.table.dtype == np.int16
     assert np.array_equal(C.table, (ar[:, None] + ar[None, :]) % 3000)
     assert peak < 1.3 * C.table.nbytes
+    C50, C60 = make_cyclic(50), make_cyclic(60)
+    tracemalloc.start()
+    Q = direct_product(C50, C60)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert Q.table.dtype == np.int16
+    assert peak < 1.3 * Q.table.nbytes
     with pytest.raises(ValueError, match="table of order 10100 exceeds"):
         direct_product(make_cyclic(101), make_cyclic(100))
+
+
+def test_index_width_holds_the_table_bound():
+    """The constructors' sums reach 2n - 2 before a remainder, so the
+    entry dtype must hold twice the largest accepted order."""
+    G = make_cyclic(2)
+    assert 2 * group_core.MAX_TABLE_ORDER <= np.iinfo(G.table.dtype).max
+
+
+def test_corner_entries_at_the_table_bound(S3):
+    """The last entries of tables near MAX_TABLE_ORDER, where a narrow
+    dtype would wrap first, and S3 x C1666 against a table built apart."""
+    assert make_cyclic(10000).table[9999, 9999] == 9998
+    C100 = make_cyclic(100)
+    assert direct_product(C100, C100).table[-1, -1] == 9898
+    G = direct_product(S3, make_cyclic(1666))
+    ar = np.arange(1666, dtype=np.int32)
+    cyc = (ar[:, None] + ar[None, :]) % 1666
+    for a, c in itertools.product(range(6), repeat=2):
+        # the block of rows (a, .) and columns (c, .)
+        block = G.table[a * 1666:(a + 1) * 1666, c * 1666:(c + 1) * 1666]
+        assert np.array_equal(block, int(S3.table[a, c]) * 1666 + cyc)
 
 
 def _reference_verdict(T):
@@ -756,6 +786,20 @@ def test_hom_validation(S3, C2):
         GroupHom(S3, C2, [0, 1, 1, 1, 1, 0])  # not multiplicative
     a = GroupHom(C2, C2, [0, 1])
     assert a(1) == 1 and a(0) == 0
+
+
+@pytest.mark.parametrize("images", [
+    np.array([0, 2 ** 32 + 1]),  # was cast to [0 1]: the identity map
+    [0, 2 ** 32 + 1],            # was a bare OverflowError
+    np.array([0, 2 ** 16 + 1]),  # would wrap to 1 in int16
+    [0, -1],
+    [0, 2 ** 64],                # past int64: an object array
+    [0, 1.0],
+])
+def test_hom_images_out_of_range(C2, images):
+    with pytest.raises(ValueError, match=r"^images must be integers in "
+                                         r"range\(0, 2\)$"):
+        GroupHom(C2, C2, images)
 
 
 def test_hom_check_matches_definition(S3, S4, C2xC4, D4):
