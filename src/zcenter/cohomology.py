@@ -20,8 +20,8 @@ from itertools import chain
 
 import numpy as np
 
-from .group_core import (FiniteGroup, _failure_certificate, _short_generators,
-                         center)
+from .group_core import (FiniteGroup, _bfs_layers, _failure_certificate,
+                         _short_generators, center)
 from .snf import check_modulus, solve_modular_linear
 
 __all__ = [
@@ -192,9 +192,9 @@ def _delta_slab(F: np.ndarray, T: np.ndarray, g: int, degree: int,
         + sum_{i<k} (-1)^(i+1) F(g, h1..h_i h_(i+1)..hk)
         + (-1)^(k+1) F(g, h1..h_(k-1)).
     Axes of F past `degree` ride along unchanged, so a stack of cochains
-    (a basis, say) goes through in one call.  The slab accumulates in
-    `out` when given, so a sweep reuses one buffer.  This is the only
-    place the face formula is written.
+    (`_tree_rows`'s affine forms) goes through in one call.  The slab
+    accumulates in `out` when given, so a sweep reuses one buffer.  This
+    is the only place the face formula is written.
     """
     Fg = F[g]
     # T's entries are in range; mode "clip" only stops take from
@@ -266,54 +266,66 @@ def _require_cocycle(f: Cochain, role: str) -> None:
 
 # -- coboundary decision ----------------------------------------------
 
+def _tree_rows(f: Cochain):
+    """(F, A) mod N for a k-cochain f, k = 2 or 3.
+
+    The unknowns are phi(s, ..) at the s of S = `_short_generators`
+    (and non-identity second arguments).  On a tree edge x = s h,
+    delta(phi)(s, h, ..) = f(s, h, ..) gives phi(x, ..) from phi(h, ..)
+    and phi(s, ..); F[x, ..] holds its coefficients, then its constant.
+    A holds the nonzero rows of delta(F) - f at each s in S, alike.
+    """
+    G, N, k = f.group, f.modulus, f.degree
+    T, inv = G.table, G.inverse
+    S = np.array(_short_generators(G), dtype=np.int64)
+    others = np.flatnonzero(np.arange(G.order) != G.identity)
+    u = len(S) * len(others) ** (k - 2)
+    F = np.zeros((G.order,) * (k - 1) + (u + 1,), dtype=np.int64)
+    at_s = np.ix_(S, *[others] * (k - 2)) + (slice(u),)
+    F[at_s] = np.eye(u, dtype=np.int64).reshape(F[at_s].shape)
+    # left multiplication's tree: right multiplication's by S^-1, inverted
+    for rows in _bfs_layers(G, inv[S]):
+        x, h, s = inv[rows[:, 0]], inv[rows[:, 1]], S[rows[:, 2]]
+        F[x] = F[h] + (F[s] if k == 2 else
+                       F[s[:, None], T[h]] - F[s, h][:, None])
+        F[x, ..., u] -= f.dense[s, h]
+    F %= N
+    A = [np.empty((0, u + 1), dtype=np.int64)]  # S is empty on C1
+    for s in S:
+        slab = _delta_slab(F, T, s, k - 1)
+        slab[..., u] -= f.dense[s]
+        slab = np.remainder(slab, N, out=slab).reshape(-1, u + 1)
+        A.append(slab[slab.any(axis=1)])
+    return F, np.concatenate(A)
+
+
 def is_coboundary(f: Cochain) -> CohomologyClassVerdict:
     """Decide whether a 2- or 3-cocycle is a coboundary; witness if so.
 
-    Solves delta(phi) = f in the normalized unknowns phi (indexed by
-    tuples of non-identity elements) as an integer system mod N.  The
-    system's columns are delta of the basis cochains of those unknowns,
-    its rows the tuples (s, non-identity ..) at the generators s of
-    `_short_generators`.  These suffice: the a with D(a, ..) = 0 for the
-    cocycle D = f - delta(phi) contain e and, as delta(D) = 0, are closed
-    under products.  In degree 3 delta(phi)(d, d, d) = 0 at each
-    involution d, so f(d, d, d) != 0 refuses f before any row is built.
-    Non-cocycles are rejected with their failure certificate.
+    Solves the rows of `_tree_rows` mod N.  Those at the generators
+    suffice: the a with D(a, ..) = 0 for the cocycle D = f - delta(phi)
+    contain e and, as delta(D) = 0, are closed under products.  In
+    degree 3 delta(phi)(d, d, d) = 0 at each involution d, so
+    f(d, d, d) != 0 refuses f before any row is built.  Non-cocycles
+    are rejected with their failure certificate.
     """
     if f.degree not in (2, 3):
         raise ValueError("coboundary decision needs degree 2 or 3")
     _require_cocycle(f, "input")
-    G = f.group
-    N = f.modulus
-    n = G.order
-    k = f.degree
+    G, N, k = f.group, f.modulus, f.degree
     if f.is_zero():
         witness = Cochain.zero(G, k - 1, N)
         return CohomologyClassVerdict(True, True, witness)
     inv = np.flatnonzero(np.diagonal(G.table) == G.identity)
     if k == 3 and f.dense[inv, inv, inv].any():
         return CohomologyClassVerdict(True, False, None)
-
-    others = [g for g in range(n) if g != G.identity]
-    inner = np.ix_(*[others] * (k - 1))
-    nv = len(others) ** (k - 1)
-    # basis[..., j] is the normalized (k-1)-cochain of unknown j; int8
-    # holds delta of a 0/1 basis, a signed sum of k + 1 faces
-    basis = np.zeros((n,) * (k - 1) + (nv,), dtype=np.int8)
-    basis[inner] = np.eye(nv, dtype=np.int8).reshape(
-        (len(others),) * (k - 1) + (nv,))
-    # the solver drops duplicate equations itself, as rows eliminated to 0
-    S = _short_generators(G)
-    A = np.concatenate([_delta_slab(basis, G.table, s, k - 1)[inner]
-                        .reshape(-1, nv) for s in S])
-    x = solve_modular_linear(
-        A, f.dense[np.ix_(S, *[others] * (k - 1))].ravel(), N)
+    F, A = _tree_rows(f)
+    x = solve_modular_linear(A[:, :-1], -A[:, -1], N)
     if x is None:
         return CohomologyClassVerdict(True, False, None)
-    dense = np.zeros((n,) * (k - 1), dtype=np.int64)
-    dense[inner] = np.reshape(x, (len(others),) * (k - 1))
-    witness = Cochain(G, k - 1, N, dense=dense)
-    check = coboundary(witness)
-    if not np.array_equal(check.dense, f.dense):
+    # F . [x, 1], each product reduced first: a sum of raw ones overflows
+    witness = Cochain(G, k - 1, N, dense=(F * np.append(x, 1) % N).sum(-1))
+    if coboundary(witness) != f:
         raise AssertionError("internal error: witness fails delta(phi) = f")
     return CohomologyClassVerdict(True, True, witness)
 

@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cohomology import Cochain, _gamma_dense, _require_cocycle
-from .group_core import (FiniteGroup, _bfs_layers, _prime_factors,
-                         _short_generators, centralizer, conjugacy_classes,
-                         subgroup)
+from .cohomology import Cochain, _gamma_dense, _require_cocycle, _tree_rows
+from .group_core import (FiniteGroup, _prime_factors, centralizer,
+                         conjugacy_classes, subgroup)
 from .snf import _echelon
 from .twisted_rep import TwistedGroupAlgebra, irrep_profile
 
@@ -169,32 +168,21 @@ def lift_count(C: PointedCategory, spec: CentralObjectSpec) -> int:
 def kernel_of_characteristic(C: PointedCategory) -> tuple:
     """Invariant factors of Hom(G, Z/N), the characters of the grading group.
 
-    A character phi is fixed by its values at S = `_short_generators(G)`:
-    phi(x) = word[x] . phi(S), where word[x] counts the generators on the
-    breadth-first tree's path to x.  It is a homomorphism iff each edge
-    (h, s) gives (word[h] + e_s - word[hs]) . phi(S) = 0, the presentation
-    route of Holt (J. Symbolic Comput. 1, 1985) in degree 1.  Over each
-    p^k exactly dividing N, every pivot p^v of those rows leaves a summand
-    Z/p^v and every free column a summand Z/p^k.
+    A character is a 1-cochain phi with delta(phi) = 0: it solves the
+    rows of `_tree_rows` for f = 0 (Holt, J. Symbolic Comput. 1, 1985, in
+    degree 1).  Over each p^k exactly dividing N, a pivot p^v of those
+    rows leaves a summand Z/p^v and a free column a summand Z/p^k.
     """
-    G, N = C.group, C.modulus
-    S = _short_generators(G)
-    word = np.zeros((G.order, len(S)), dtype=np.int64)
-    for rows in _bfs_layers(G, S):
-        word[rows[:, 0]] = word[rows[:, 1]]
-        word[rows[:, 0], rows[:, 2]] += 1
-    rel = (word[:, None] + np.eye(len(S), dtype=np.int64)
-           - word[G.table[:, S]]).reshape(G.order * len(S), len(S))
-    rel = rel[rel.any(axis=1)]
+    N = C.modulus
+    _, rows = _tree_rows(Cochain.zero(C.group, 2, N))
+    u = rows.shape[1] - 1  # the unknowns phi(s); the constants are 0
     factors = []  # largest first
     for p in _prime_factors(N):
         q = math.gcd(N, p ** N.bit_length())
-        M = rel % q
-        # no right-hand side rides along, so the rows are never inconsistent
-        r, _ = _echelon(M, p, q, len(S))
+        M = rows[:, :u] % q
+        r, _ = _echelon(M, p, q, u)
         pivots = [d for d in np.diag(M)[:r].tolist() if d > 1]
-        for i, d in enumerate(sorted(pivots + [q] * (len(S) - r),
-                                     reverse=True)):
+        for i, d in enumerate(sorted(pivots + [q] * (u - r), reverse=True)):
             if i == len(factors):
                 factors.append(1)
             factors[i] *= d

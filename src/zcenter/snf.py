@@ -4,9 +4,9 @@
 p-valuation, which stays exact despite the zero divisors (Howell 1986;
 Storjohann & Mulders, "Fast algorithms for linear algebra modulo N",
 1998).  `solve_modular_linear` solves A x = b (mod N) over each prime
-power p^k of N and joins the solutions by the Chinese remainder theorem;
-at k = 1 `_echelon` gives `twisted_rep` its row bases and kernels over F_p,
-and `pointed_center` reads e2_11 off its pivots.
+power p^k of N and joins the solutions by the Chinese remainder theorem,
+on the rows of `cohomology._tree_rows`, whose pivots also give e2_11; at
+k = 1 `_echelon` gives `twisted_rep` its row bases and kernels over F_p.
 Residues stay below 2^31, so a product of two fits in int64.
 """
 
@@ -126,7 +126,7 @@ def solve_modular_linear(A, b, N: int):
         raise ValueError("ragged matrix")
     if b.shape != (m,):
         raise ValueError("right-hand side length mismatch")
-    n = A.shape[1] if m else 0
+    n = A.shape[1] if A.ndim == 2 else 0
     M = np.empty((m, n + 1), dtype=np.int64)
     # an int64 divisor reduces narrow integer arrays without overflow, and
     # the unsafe cast admits object arrays of integers past int64

@@ -372,16 +372,17 @@ def _coboundary_file(path, spec, phi, N):
     return f"file:{path}"
 
 
-# sha256 of stdout as recorded when coboundary rows came from the generator
-# slabs; kernel work must keep these witnesses (the full-row system gave
-# C3xC3xC3 a witness of 385 entries, the generator rows one of 8)
+# sha256 of stdout with the witnesses of the generator-tree unknowns
+# (`cohomology._tree_rows`), 424 and 54 entries, each checked to satisfy
+# delta(phi) = f.  A witness is fixed only up to a (k-1)-cocycle, so
+# another choice of unknowns may pick another; solver work must keep these
 COBOUNDARY_WITNESSES = [
     ("C3xC3xC3", {(1, 2): 1, (4, 9): 2, (13, 26): 1, (5, 5): 2, (20, 7): 1,
                   (3, 1): 1, (17, 11): 2, (8, 24): 1}, 3,
-     "8ca0b814c1b1d828b6fa7afb826ef0c9c5e33a2b4ebee7aacb99ecb066aaad23"),
+     "ef2e794b39d140cb9c24ce7bfa4effbb32ae69c933ccd59573aa1faa85eb0e90"),
     ("C8xC8", {(1,): 3, (9,): 5, (17,): 1, (40,): 7, (63,): 2, (8,): 4,
                (27,): 6, (50,): 1}, 8,
-     "c72ff26b973e12d7203212f45625b689e0b67b542c00af7c755f7fef1e46bf78"),
+     "fa2537a560204c7e404917903e827596afb4add65fe4dd120a3b4b771fa12cba"),
 ]
 
 

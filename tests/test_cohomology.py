@@ -21,8 +21,9 @@ from zcenter.group_core import (direct_product, make_cyclic, make_symmetric,
                                 subgroup, _short_generators)
 from zcenter.snf import solve_modular_linear
 
-from conftest import (bilinear_cochain, pullback, random_cochain,
-                      shifted, sign_cocycle, sign_images)
+from conftest import (bilinear_cochain, make_dihedral4, make_quaternion8,
+                      pullback, random_cochain, shifted, sign_cocycle,
+                      sign_images)
 
 
 # -- cochain mechanics -------------------------------------------------
@@ -417,7 +418,9 @@ def _carry_cocycle_c4xc4():
 def _decision_inputs():
     """Seeded coboundaries in degrees 2 and 3, every valid cup3 triple,
     a non-symmetric bicharacter, pullbacks along G -> C2 and A4 -> C3,
-    and the carry cocycle on C4xC4."""
+    and the carry cocycle on C4xC4; on D4 and Q8, non-abelian 2-groups
+    where a left/right slip in the generator tree shows, seeded
+    coboundaries and the pullbacks of x^2 and x^3 along a map onto C2."""
     rng = np.random.default_rng(41)
     C2, C3 = make_cyclic(2), make_cyclic(3)
     for spec in ("C2", "C4", "C6", "C2xC2", "C4xC2", "C3xC3", "C2xC2xC2",
@@ -444,6 +447,15 @@ def _decision_inputs():
                 if len(set(a.images.tolist())) == 3)
     yield pullback(cup3(C3, 0, 0, 0, 3), A4, onto)
     yield _carry_cocycle_c4xc4()
+    for G in (make_dihedral4(), make_quaternion8()):
+        for degree in (2, 3):
+            for M in (4, 8):
+                yield coboundary(random_cochain(G, degree - 1, M, rng))
+        onto = next(a.images for a in enumerate_homomorphisms(G, C2)
+                    if len(set(a.images.tolist())) == 2)
+        # x^2 is no coboundary on either group; x^3 is one on Q8 only
+        yield pullback(bilinear_cochain(C2, {(0, 0): 1}, 2), G, onto)
+        yield pullback(cup3(C2, 0, 0, 0, 2), G, onto)
 
 
 def test_generator_rows_decide_like_the_full_system():
@@ -457,6 +469,18 @@ def test_generator_rows_decide_like_the_full_system():
             assert coboundary(v.witness) == f
         verdicts.add((f.degree, full))
     assert verdicts == {(2, False), (2, True), (3, False), (3, True)}
+
+
+@pytest.mark.parametrize("spec", ["C2xC2xC2xC2xC2", "C4xC4xC4"])
+def test_coboundary_witness_near_the_modulus_bound(spec):
+    """At N = 2^31 - 2 a witness summed from unreduced products
+    F[x, .., j] x_j overflows int64 and fails delta(phi) = f."""
+    G = parse_group_spec(spec)
+    f = coboundary(random_cochain(G, 2, 2 ** 31 - 2,
+                                  np.random.default_rng(43)))
+    v = is_coboundary(f)
+    assert v.is_coboundary
+    assert coboundary(v.witness) == f
 
 
 @pytest.mark.parametrize("spec", ["C2xC2xC2", "C4xC2", "S3", "A4", "C6"])

@@ -66,6 +66,9 @@ def test_degenerate_shapes():
     # zero row with zero rhs and a live row
     x = solve_modular_linear([[0], [2]], [0, 4], 6)
     check_witness([[0], [2]], [0, 4], 6, x)
+    # no equations in three unknowns: the zero solution
+    assert solve_modular_linear(np.zeros((0, 3), dtype=np.int64), [],
+                                5) == [0, 0, 0]
 
 
 def test_large_entries_stay_exact():
