@@ -32,6 +32,7 @@ from .group_core import (  # noqa: F401
 from .cohomology import (  # noqa: F401
     Cochain,
     CocycleError,
+    BoundError,
     CohomologyClassVerdict,
     coboundary,
     is_cocycle,

@@ -3,8 +3,8 @@
 Subcommands: group-info, cohomology, obstruction, center-report, lift,
 simples, bands (types | families).  Exit status 0 on success, 2 for
 malformed requests (bad specs, unreadable files, out-of-range indices,
-conflicting moduli), 1 for computation failures; cocycle-condition
-violations print their certificate tuple.
+conflicting moduli), 1 for computation failures and size-bound
+refusals; cocycle-condition violations print their certificate tuple.
 
 Group specs: "C<n>", "C<a>xC<b>x...", "S<m>", "A<m>", "file:<path>".
 Cocycle specs: "zero", "cup:<i>,<j>,<k>[:<N>]", "file:<path>".
@@ -23,8 +23,8 @@ import sys
 from math import lcm
 
 from .bands import band_center_families, conjugacy_types
-from .cohomology import (CocycleError, Cochain, cochain_to_json, cup3,
-                         is_cocycle, is_coboundary, load_cocycle)
+from .cohomology import (BoundError, CocycleError, Cochain, cochain_to_json,
+                         cup3, is_cocycle, is_coboundary, load_cocycle)
 from .group_core import FiniteGroup, center, conjugacy_classes, parse_group_spec
 from .pointed_center import (CentralObjectSpec, PointedCategory,
                              _obstruction_json, center_report,
@@ -82,6 +82,8 @@ def _resolve_cocycle(G: FiniteGroup, spec: str, modulus, degree_needed=None):
             N = modulus if modulus is not None else exp
         try:
             f = cup3(G, i, j, k, N)
+        except BoundError:
+            raise
         except ValueError as e:
             raise UsageError(str(e))
     elif spec.startswith("file:"):
@@ -92,7 +94,7 @@ def _resolve_cocycle(G: FiniteGroup, spec: str, modulus, degree_needed=None):
             raise UsageError(f"cannot read cocycle file: {path}")
         except json.JSONDecodeError as e:
             raise UsageError(f"cocycle file is not valid JSON: {e}")
-        except CocycleError:
+        except (BoundError, CocycleError):
             raise
         except (OSError, ValueError) as e:
             raise UsageError(str(e))

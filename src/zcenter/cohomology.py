@@ -27,6 +27,7 @@ from .snf import check_modulus, solve_modular_linear
 __all__ = [
     "Cochain",
     "CocycleError",
+    "BoundError",
     "CohomologyClassVerdict",
     "coboundary",
     "is_cocycle",
@@ -53,6 +54,11 @@ class CocycleError(ValueError):
     def __init__(self, message: str, certificate=None):
         super().__init__(message)
         self.certificate = certificate
+
+
+class BoundError(ValueError):
+    """A group order past the dense bound of the cochain's degree; raised
+    before the cochain's array is allocated."""
 
 
 class Cochain:
@@ -117,6 +123,7 @@ class Cochain:
     def __call__(self, *args) -> int:
         if len(args) != self.degree:
             raise ValueError(f"expected {self.degree} arguments")
+        self.group._check_index(*args)
         return int(self.dense[args])
 
     def is_zero(self) -> bool:
@@ -168,7 +175,7 @@ def _check_bounds(group: FiniteGroup, degree: int, modulus: int) -> None:
     check_modulus(modulus)
     limit = MAX_ORDER_DEG3 if degree == 3 else MAX_ORDER_DEG_LE2
     if group.order > limit:
-        raise ValueError(
+        raise BoundError(
             f"group order {group.order} exceeds the degree-{degree} "
             f"bound {limit}")
 
@@ -343,7 +350,8 @@ def cup3(G: FiniteGroup, i: int, j: int, k: int, N: int) -> Cochain:
         raise ValueError(
             "cup3 needs a group built as a direct product of cyclic factors")
     nf = len(G.cyclic_factors)
-    check_modulus(N)  # before N // g, which must fit in int64
+    # before N // g, which must fit in int64, and the n^3 array
+    _check_bounds(G, 3, N)
     for t in (i, j, k):
         if not 0 <= t < nf:
             raise ValueError(f"factor index {t} out of range (0..{nf - 1})")
@@ -395,8 +403,7 @@ def gamma(omega: Cochain, z: int) -> Cochain:
         raise ValueError("gamma needs a 3-cochain")
     _require_cocycle(omega, "omega")
     G = omega.group
-    if not 0 <= z < G.order:
-        raise ValueError(f"element index {z} out of range")
+    G._check_index(z)
     if z not in center(G):
         raise ValueError(f"element {z} is not central in {G.label}")
     return Cochain(G, 2, omega.modulus, dense=_gamma_dense(omega.dense, z))
@@ -449,6 +456,7 @@ def _cochain_from_rows(G: FiniteGroup, k: int, N: int, blocks):
     first row holding one, a repeated tuple keeps its last value, values
     are reduced mod N and the result is normalized (`_normalize`).
     """
+    _check_bounds(G, k, N)  # before the dense array is allocated
     n = G.order
     dense = np.zeros((n,) * k, dtype=np.int64)
     for rows in blocks:
@@ -469,30 +477,23 @@ def _cochain_from_rows(G: FiniteGroup, k: int, N: int, blocks):
 
 def _json_rows(chunk: list, k: int, n: int, N: int) -> np.ndarray:
     """Loaded JSON entries as (m, k + 1) int64 rows, values past int64
-    reduced mod N; raises for the first malformed entry."""
-    rows = _entry_rows(chunk, k)
-    if rows is None:
-        for entry in chunk:
-            _check_entry(entry, k, n)
-        # every entry is well-formed: a value past int64 (or a list
-        # subclass) is all that sends a chunk here, so reduce in Python
-        rows = np.array([[*e[:k], e[k] % N] for e in chunk], dtype=np.int64)
-    return rows
+    reduced mod N; raises for the first malformed entry.
 
-
-def _entry_rows(chunk: list, k: int) -> np.ndarray | None:
-    """The entries as an (m, k + 1) int64 array, or None unless each is
-    a list of k + 1 ints (not bools) that fit int64.  None sends the
-    chunk to `_check_entry`, entry by entry."""
-    if set(map(type, chunk)) != {list} or set(map(len, chunk)) != {k + 1}:
-        return None
-    flat = list(chain.from_iterable(chunk))
-    if set(map(type, flat)) != {int}:
-        return None
-    try:
-        return np.array(flat, dtype=np.int64).reshape(len(chunk), k + 1)
-    except OverflowError:
-        return None
+    A chunk of lists of k + 1 ints (not bools) that fit int64 converts
+    in one call; any other is checked entry by entry (`_check_entry`).
+    """
+    if set(map(type, chunk)) == {list} and set(map(len, chunk)) == {k + 1}:
+        flat = list(chain.from_iterable(chunk))
+        if set(map(type, flat)) == {int}:
+            try:
+                return np.array(flat, dtype=np.int64).reshape(-1, k + 1)
+            except OverflowError:
+                pass
+    for entry in chunk:
+        _check_entry(entry, k, n)
+    # every entry is well-formed: a value past int64 (or a list
+    # subclass) is all that sends a chunk here, so reduce in Python
+    return np.array([[*e[:k], e[k] % N] for e in chunk], dtype=np.int64)
 
 
 def _check_entry(entry, k: int, n: int) -> None:
@@ -520,7 +521,9 @@ def _check_entry(entry, k: int, n: int) -> None:
 _BLOCK_CHARS = 1 << 18
 # The opening of the entries array: JSON whitespace only, no escapes
 _ENTRIES_KEY = re.compile(r'"entries"[ \t\n\r]*:[ \t\n\r]*\[')
-_ARRAY_END = re.compile(rb"\][ \t\n\r]*\]")
+# The array's ] when it is empty, and otherwise the second ] of its end
+_EMPTY_ARRAY = re.compile(r"[ \t\n\r]*\]")
+_ARRAY_END = re.compile(r"\][ \t\n\r]*\]")
 _SPACED_SIGN = re.compile(rb"-[ \t\n\r]")
 _JSON_SPACE = b" \t\n\r"
 _UNBRACKET = bytes.maketrans(b"[],", b"   ")
@@ -534,11 +537,12 @@ def _read_entries(text: str):
     Taken when the text has no backslash and exactly one "entries" key
     opening an array, and that array is [[n, ..., n], ...] with the same
     count of integers in every entry, each of at most 18 digits, without
-    leading zeros or whitespace inside.  The envelope data is
-    `json.loads` of the text with the array replaced by [], so the
-    entries field of a valid text is that []; the blocks hold the
-    array's rows, as int64 (m, k + 1) arrays.  None leaves the text to
-    `json.loads`, which gives the same data or raises.
+    leading zeros or whitespace inside.  The array's end is found once,
+    and its entries are read in blocks of whole entries (`_entry_block`).
+    The envelope data is `json.loads` of the text with the array
+    replaced by [], so the entries field of a valid text is that []; the
+    blocks hold the array's rows, as int64 (m, k + 1) arrays.  None
+    leaves the text to `json.loads`, which gives the same data or raises.
     """
     if "\\" in text:
         return None
@@ -547,61 +551,47 @@ def _read_entries(text: str):
     if key is None or next(found, None) is not None:
         return None
     # without escapes the key's first quote opens a string, so a text
-    # that parses holds the array as the value of an "entries" field
+    # that parses holds the array as the value of an "entries" field.
+    # Entries hold no brackets, so a wrong guess at the array's end
+    # leaves a block that fails the entry layout
     pos = key.end()
-    blocks, k, close = [], None, None
-    while close is None:
-        if pos >= len(text):
-            return None
-        # a block ends right after a ] when one is near, else it must hold
-        # the array's end
+    empty = _EMPTY_ARRAY.match(text, pos)
+    end = empty or _ARRAY_END.search(text, pos)
+    if end is None:
+        return None
+    last = pos if empty else end.start() + 1  # after the last entry's ]
+    # k + 1 integers in each entry, as in the first
+    k = text.count(",", pos, text.find("]", pos))
+    blocks, lead = [], b","  # each entry is read as ,[n,...,n]
+    while pos < last:
+        # a block ends right after a ] up to 2 * _BLOCK_CHARS on, or fails
         stop = pos + _BLOCK_CHARS
-        stop = text.find("]", stop, stop + _BLOCK_CHARS) + 1 or stop
-        read = _entry_block(text[pos:stop].encode("ascii", "replace"), k)
-        if read is None:
+        stop = min(text.find("]", stop, stop + _BLOCK_CHARS) + 1 or stop, last)
+        raw = lead + text[pos:stop].encode("ascii", "replace")
+        rows = _entry_block(raw, k)
+        if rows is None:
             return None
-        rows, k, end = read
-        if len(rows):
-            blocks.append(rows)
-        if end is not None:
-            close = pos + end
-        pos = stop
+        blocks.append(rows)
+        pos, lead = stop, b""
     try:
-        data = json.loads(text[:key.end()] + text[close:])
+        data = json.loads(text[:key.end()] + text[end.end() - 1:])
     except (ValueError, RecursionError):
         return None
     return data, blocks
 
 
-def _entry_block(raw: bytes, k: int | None):
-    """(rows, k, end) for one block of the entries array, or None.
+def _entry_block(raw: bytes, k: int):
+    """The (m, k + 1) int64 rows of a run of whole entries, or None.
 
-    `raw` starts right after the array's [ (k None: the first block) or
-    right after an entry's ].  A block that holds the array's own ], at
-    offset `end` (else None), is read up to it; any other must end
-    right after an entry's ].  Every entry holds k + 1 integers; the
-    first entry sets k.
+    `raw` must be entries ,[n,...,n] of k + 1 integers each, with JSON
+    whitespace anywhere but inside a number.
     """
     packed = raw.translate(None, _JSON_SPACE)
-    if packed.startswith(b"]"):  # the array ends where the block starts
-        return np.empty((0, 0), dtype=np.int64), k, raw.index(b"]")
-    end = None
-    cut = packed.find(b"]]")
-    if cut >= 0:
-        packed = packed[:cut + 1]
-        end = _ARRAY_END.search(raw).end() - 1
-        raw = raw[:end]
-    # a virtual comma before the first entry: each entry is ,[n,...,n]
-    c = np.frombuffer(b"," + packed if k is None else packed, dtype=np.uint8)
+    c = np.frombuffer(packed, dtype=np.uint8)
     minus = c == ord("-")
     digit = np.subtract(c, ord("0"), dtype=np.uint8) < 10
     at = np.flatnonzero(~(digit | minus))  # brackets, commas, anything else
     marks = c[at]
-    if k is None:
-        closes = np.flatnonzero(marks == ord("]"))
-        if not len(closes) or closes[0] < 2:
-            return None
-        k = int(closes[0]) - 2
     width = k + 3
     if len(at) % width:
         return None
@@ -626,7 +616,7 @@ def _entry_block(raw: bytes, k: int | None):
     values = np.fromstring(raw.translate(_UNBRACKET), dtype=np.int64, sep=" ")
     if len(values) != len(starts):
         return None
-    return values.reshape(-1, k + 1), k, end
+    return values.reshape(-1, k + 1)
 
 
 def _normalize(G: FiniteGroup, k: int, N: int, dense: np.ndarray):

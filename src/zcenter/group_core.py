@@ -137,7 +137,15 @@ class FiniteGroup:
 
     # -- basics --------------------------------------------------------
 
+    def _check_index(self, *elements) -> None:
+        """Refuse an element index outside range(n), naming the first;
+        numpy would read a negative one from the end."""
+        for g in elements:
+            if not 0 <= g < self.order:
+                raise ValueError(f"element index {g} out of range")
+
     def mul(self, g: int, h: int) -> int:
+        self._check_index(g, h)
         return int(self.table[g, h])
 
     def element_orders(self) -> np.ndarray:
@@ -168,6 +176,7 @@ class FiniteGroup:
 
     def power(self, g: int, k: int) -> int:
         """g**k for any integer k, reduced mod ord(g)."""
+        self._check_index(g)
         return int(self._power(np.array(g), k % int(self.element_orders()[g])))
 
     def _power(self, x: np.ndarray, k: int) -> np.ndarray:
@@ -243,6 +252,7 @@ class GroupHom:
         return hom
 
     def __call__(self, g: int) -> int:
+        self.source._check_index(g)
         return int(self.images[g])
 
     def key(self) -> tuple:
@@ -408,6 +418,7 @@ def centralizer(G: FiniteGroup, S) -> tuple[int, ...]:
     S = sorted(set(int(s) for s in S))
     if not S:
         raise ValueError("centralizer of an empty set is not defined here")
+    G._check_index(*S)
     T = G.table
     mask = np.ones(G.order, dtype=bool)
     for s in S:
@@ -462,6 +473,7 @@ def subgroup(G: FiniteGroup, elements) -> tuple[FiniteGroup, np.ndarray]:
     whenever it is G-index 0.  All of G gives G itself, caches and all.
     """
     elems = sorted(set(int(x) for x in elements))
+    G._check_index(*elems)
     if elems == list(range(G.order)):
         return G, np.arange(G.order, dtype=_INDEX)
     if G.identity not in elems:

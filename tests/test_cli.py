@@ -239,6 +239,21 @@ def test_modulus_bound(capsys, tmp_path):
         assert "2147483648" in err, argv
 
 
+@pytest.mark.parametrize("group", ["C256", "C2000"])
+@pytest.mark.parametrize("kind", ["cup", "file"])
+def test_degree3_bound_refused_before_allocating(capsys, tmp_path, group,
+                                                 kind):
+    # a size bound exits 1, as for zero; C2000 would need a 59.6 GiB array
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(
+        {"modulus": 2, "degree": 3, "entries": [[1, 1, 1, 1]]}))
+    spec = "cup:0,0,0" if kind == "cup" else f"file:{path}"
+    code, out, err = run(capsys, "cohomology", "--group", group,
+                         "--cocycle", spec)
+    assert (code, out) == (1, "")
+    assert "degree-3 bound 128" in err and "Traceback" not in err
+
+
 # -- obstruction / center-report / lift / simples ----------------------
 
 def test_obstruction_cup(capsys):

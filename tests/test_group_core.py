@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from zcenter import group_core
+from zcenter.cohomology import Cochain
 from zcenter.group_core import (FiniteGroup, GroupHom, center, centralizer,
                                 conjugacy_classes, direct_product,
                                 enumerate_homomorphisms, generating_sequence,
@@ -643,6 +644,23 @@ def test_subgroup_embedding(S4):
     # all of G is G itself, not a re-validated copy
     H, embed = subgroup(S4, range(S4.order))
     assert H is S4 and list(embed) == list(range(S4.order))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: subgroup(make_cyclic(4), [0, -2]),
+    lambda: subgroup(make_cyclic(4), [0, 4]),
+    lambda: centralizer(make_symmetric(3), [-1]),
+    lambda: make_cyclic(4).mul(-1, 1),
+    lambda: make_cyclic(4).mul(1, 4),
+    lambda: make_cyclic(4).power(-1, 1),
+    lambda: GroupHom(make_cyclic(4), make_cyclic(4), [0, 1, 2, 3])(-1),
+    lambda: Cochain.zero(make_cyclic(4), 2, 4)(-1, 2),
+], ids=["subgroup", "subgroup-high", "centralizer", "mul", "mul-high",
+        "power", "hom", "cochain"])
+def test_element_index_out_of_range_is_refused(call):
+    # numpy would read a negative index from the end of the table
+    with pytest.raises(ValueError, match=r"element index (-1|-2|4) out"):
+        call()
 
 
 def test_subgroup_rejects_non_closed(S3):
