@@ -45,6 +45,8 @@ def _load_group(spec: str) -> FiniteGroup:
         raise UsageError(f"cannot read group file: {e.filename}")
     except json.JSONDecodeError as e:
         raise UsageError(f"group file is not valid JSON: {e}")
+    except BoundError:
+        raise
     except (OSError, ValueError) as e:
         raise UsageError(str(e))
 

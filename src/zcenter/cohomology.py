@@ -20,8 +20,8 @@ from itertools import chain
 
 import numpy as np
 
-from .group_core import (FiniteGroup, _bfs_layers, _failure_certificate,
-                         _short_generators, center)
+from .group_core import (BoundError, FiniteGroup, _bfs_layers,
+                         _failure_certificate, _short_generators, center)
 from .snf import check_modulus, solve_modular_linear
 
 __all__ = [
@@ -54,11 +54,6 @@ class CocycleError(ValueError):
     def __init__(self, message: str, certificate=None):
         super().__init__(message)
         self.certificate = certificate
-
-
-class BoundError(ValueError):
-    """A group order past the dense bound of the cochain's degree; raised
-    before the cochain's array is allocated."""
 
 
 class Cochain:
@@ -280,7 +275,8 @@ def _tree_rows(f: Cochain):
     (and non-identity second arguments).  On a tree edge x = s h,
     delta(phi)(s, h, ..) = f(s, h, ..) gives phi(x, ..) from phi(h, ..)
     and phi(s, ..); F[x, ..] holds its coefficients, then its constant.
-    A holds the nonzero rows of delta(F) - f at each s in S, alike.
+    A holds the nonzero rows of delta(F) - f at each s in S, alike, in
+    `snf`'s row format.
     """
     G, N, k = f.group, f.modulus, f.degree
     T, inv = G.table, G.inverse
@@ -327,7 +323,7 @@ def is_coboundary(f: Cochain) -> CohomologyClassVerdict:
     if k == 3 and f.dense[inv, inv, inv].any():
         return CohomologyClassVerdict(True, False, None)
     F, A = _tree_rows(f)
-    x = solve_modular_linear(A[:, :-1], -A[:, -1], N)
+    x = solve_modular_linear(A, N)
     if x is None:
         return CohomologyClassVerdict(True, False, None)
     # F . [x, 1], each product reduced first: a sum of raw ones overflows

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "BoundError",
     "FiniteGroup",
     "GroupHom",
     "ConjugacyClassData",
@@ -56,6 +57,11 @@ _INDEX = np.int16
 # homomorphism enumeration builds at once: no temporary grows with the
 # table or with the number of candidates
 _BLOCK_CELLS = 1 << 18
+
+
+class BoundError(ValueError):
+    """An input past a size bound (table order, permutation degree, modulus,
+    a cochain degree's order bound), refused before it is allocated."""
 
 
 class FiniteGroup:
@@ -283,7 +289,7 @@ def _check_table_order(n: int) -> int:
     """n, if an n x n table is within the memory guard; checked by the
     constructors before they allocate a table."""
     if n > MAX_TABLE_ORDER:
-        raise ValueError(
+        raise BoundError(
             f"table of order {n} exceeds the supported maximum "
             f"{MAX_TABLE_ORDER} (memory guard)")
     return n
@@ -334,10 +340,10 @@ def _permutations(name: str, m: int) -> np.ndarray:
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     if m > 8:
-        raise ValueError(f"{name}({m}) exceeds the m <= 8 bound")
+        raise BoundError(f"{name}({m}) exceeds the m <= 8 bound")
     order = math.factorial(m) // (2 if name == "A" else 1)
     if order > MAX_TABLE_ORDER:
-        raise ValueError(
+        raise BoundError(
             f"{name}({m}) has order {order}; its table exceeds the "
             f"memory guard ({MAX_TABLE_ORDER})")
     P = np.array(list(itertools.permutations(range(m))), dtype=np.int64)

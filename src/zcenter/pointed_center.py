@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cohomology import Cochain, _gamma_dense, _require_cocycle, _tree_rows
-from .group_core import (FiniteGroup, _prime_factors, centralizer,
-                         conjugacy_classes, subgroup)
-from .snf import _echelon
+from .group_core import FiniteGroup, centralizer, conjugacy_classes, subgroup
+from .snf import _prime_power_echelons
 from .twisted_rep import TwistedGroupAlgebra, irrep_profile
 
 __all__ = [
@@ -175,12 +174,10 @@ def kernel_of_characteristic(C: PointedCategory) -> tuple:
     """
     N = C.modulus
     _, rows = _tree_rows(Cochain.zero(C.group, 2, N))
-    u = rows.shape[1] - 1  # the unknowns phi(s); the constants are 0
+    # the unknowns phi(s); the constants are 0, so no echelon fails
+    u = rows.shape[1] - 1
     factors = []  # largest first
-    for p in _prime_factors(N):
-        q = math.gcd(N, p ** N.bit_length())
-        M = rows[:, :u] % q
-        r, _ = _echelon(M, p, q, u)
+    for q, M, (r, _) in _prime_power_echelons(rows, N):
         pivots = [d for d in np.diag(M)[:r].tolist() if d > 1]
         for i, d in enumerate(sorted(pivots + [q] * (u - r), reverse=True)):
             if i == len(factors):

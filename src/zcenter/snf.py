@@ -3,18 +3,19 @@
 `_echelon` reduces a matrix over Z/p^k, pivoting on an entry of least
 p-valuation, which stays exact despite the zero divisors (Howell 1986;
 Storjohann & Mulders, "Fast algorithms for linear algebra modulo N",
-1998).  `solve_modular_linear` solves A x = b (mod N) over each prime
-power p^k of N and joins the solutions by the Chinese remainder theorem,
-on the rows of `cohomology._tree_rows`, whose pivots also give e2_11; at
-k = 1 `_echelon` gives `twisted_rep` its row bases and kernels over F_p.
-Residues stay below 2^31, so a product of two fits in int64.
+1998).  A system mod N is one int64 array of residues, rows
+[coefficients | constant] meaning M[:, :-1] x + M[:, -1] = 0, as
+`cohomology._tree_rows` builds them; `_prime_power_echelons` echelons it
+over each prime power of N, for `solve_modular_linear` and for e2_11.
+At k = 1 `_echelon` gives `twisted_rep` its row bases and kernels over
+F_p.  Residues stay below 2^31, so a product of two fits in int64.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .group_core import _prime_factors
+from .group_core import BoundError, _prime_factors
 
 __all__ = ["MAX_MODULUS", "check_modulus", "solve_modular_linear"]
 
@@ -25,10 +26,10 @@ def check_modulus(N: int) -> None:
     """Refuse a modulus outside 1 <= N < MAX_MODULUS.
 
     The bound keeps each product of two residues below 2^62, so int64
-    arithmetic on residues mod N is exact.
+    arithmetic on residues mod N is exact; N past it raises BoundError.
     """
     if not 1 <= N < MAX_MODULUS:
-        raise ValueError(
+        raise (BoundError if N >= MAX_MODULUS else ValueError)(
             f"modulus must satisfy 1 <= N < 2^31 = {MAX_MODULUS}, got {N}")
 
 
@@ -108,37 +109,30 @@ def _kernel_mod_p(M, p: int) -> np.ndarray:
     return K
 
 
-def solve_modular_linear(A, b, N: int):
-    """Solve A x = b (mod N); returns a solution list or None.
-
-    A is any m x n integer matrix (sequence of rows or 2-d array), b a
-    length-m sequence, and 1 <= N < MAX_MODULUS.  A solution is
-    returned reduced mod N.
-    """
-    check_modulus(N)
-    try:
-        A = np.asarray(A)
-    except ValueError:
-        raise ValueError("ragged matrix") from None
-    b = np.asarray(b)
-    m = len(A)
-    if m and A.ndim != 2:
-        raise ValueError("ragged matrix")
-    if b.shape != (m,):
-        raise ValueError("right-hand side length mismatch")
-    n = A.shape[1] if A.ndim == 2 else 0
-    M = np.empty((m, n + 1), dtype=np.int64)
-    # an int64 divisor reduces narrow integer arrays without overflow, and
-    # the unsafe cast admits object arrays of integers past int64
-    np.remainder(A, np.int64(N), out=M[:, :n], casting="unsafe")
-    np.remainder(b, np.int64(N), out=M[:, n], casting="unsafe")
-    x = np.zeros(n, dtype=np.int64)
+def _prime_power_echelons(M: np.ndarray, N: int):
+    """(q, Mq, _echelon(Mq, p, q, n)) for each prime power q = p^k exactly
+    dividing N, with n the coefficient columns of the rows M: Mq is M
+    itself, echeloned in place, when q == N, and M % q otherwise."""
+    n = M.shape[1] - 1
     for p in _prime_factors(N):
         q = p
         while N % (q * p) == 0:
             q *= p
         Mq = M if q == N else M % q
-        found = _echelon(Mq, p, q, n)
+        yield q, Mq, _echelon(Mq, p, q, n)
+
+
+def solve_modular_linear(M: np.ndarray, N: int):
+    """Solve M[:, :-1] x + M[:, -1] = 0 (mod N); returns a list or None.
+
+    M holds int64 residues mod N, one row [coefficients | constant] per
+    equation, and 1 <= N < MAX_MODULUS; M may be overwritten.  A solution
+    is returned reduced mod N.
+    """
+    check_modulus(N)
+    n = M.shape[1] - 1
+    x = np.zeros(n, dtype=np.int64)
+    for q, Mq, found in _prime_power_echelons(M, N):
         if found is None:
             return None
         # each pivot p^v divides its row, so back-substitution with the
@@ -147,8 +141,8 @@ def solve_modular_linear(A, b, N: int):
         y = np.zeros(n, dtype=np.int64)
         for i in range(r - 1, -1, -1):
             # reduce each product first: a sum of n raw products overflows
-            s = (int(Mq[i, n])
-                 - int((Mq[i, i + 1:r] * y[i + 1:r] % q).sum())) % q
+            s = -(int(Mq[i, n])
+                  + int((Mq[i, i + 1:r] * y[i + 1:r] % q).sum())) % q
             d = int(Mq[i, i])
             if s % d:
                 return None

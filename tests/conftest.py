@@ -16,6 +16,18 @@ from zcenter.group_core import (FiniteGroup, center, direct_product,
                                 enumerate_homomorphisms)
 
 
+def augmented(A, b, N: int) -> np.ndarray:
+    """The rows [A | -b] mod N as int64, the form in which
+    `snf.solve_modular_linear` takes A x = b (mod N).
+
+    A is a list of rows or an integer array (the int8 rows of
+    `_full_system` too); an empty A with no b has no columns.
+    """
+    A = np.asarray(A, dtype=np.int64)
+    A = A.reshape(len(b), A.shape[1] if A.ndim == 2 else 0)
+    return np.column_stack([A, -np.asarray(b, dtype=np.int64)]) % N
+
+
 def make_dihedral4() -> FiniteGroup:
     """Symmetries of a square: (a, b) with a in Z/4, b in Z/2, index a + 4b.
 

@@ -222,21 +222,27 @@ def test_boolean_cocycle_header(capsys, tmp_path, field):
 
 def test_modulus_bound(capsys, tmp_path):
     # residues mod N >= 2^31 could overflow int64: every way a modulus
-    # enters is refused with the bound named, and no verdict is printed
+    # enters is refused as a size bound (exit 1) with the bound named, and
+    # no verdict is printed
     big = tmp_path / "big.json"
     big.write_text(json.dumps(
         {"modulus": 2 ** 31, "degree": 2, "entries": [[1, 1, 2 ** 70]]}))
-    for argv, exit_code in (
-            (("center-report", "--group", "C3",
-              "--cocycle", "cup:0,0,0:9223372036854775806"), 2),
-            (("center-report", "--group", "C3",
-              "--cocycle", "cup:0,0,0:100000000000000000002"), 2),
-            (("cohomology", "--group", "C2", "--cocycle", "zero",
-              "--modulus", "100000000000000000000"), 1),
-            (("cohomology", "--group", "C2", "--cocycle", f"file:{big}"), 2)):
+    for argv in (
+            ("center-report", "--group", "C3",
+             "--cocycle", "cup:0,0,0:9223372036854775806"),
+            ("center-report", "--group", "C3",
+             "--cocycle", "cup:0,0,0:100000000000000000002"),
+            ("cohomology", "--group", "C2", "--cocycle", "zero",
+             "--modulus", "100000000000000000000"),
+            ("cohomology", "--group", "C2", "--cocycle", f"file:{big}")):
         code, out, err = run(capsys, *argv)
-        assert (code, out) == (exit_code, ""), argv
+        assert (code, out) == (1, ""), argv
         assert "2147483648" in err, argv
+    # a modulus below 1 is a malformed request
+    for argv in (("--cocycle", "zero", "--modulus", "0"),
+                 ("--cocycle", "cup:0,0,0:0")):
+        code, out, _ = run(capsys, "cohomology", "--group", "C2", *argv)
+        assert (code, out) == (2, ""), argv
 
 
 @pytest.mark.parametrize("group", ["C256", "C2000"])
@@ -413,15 +419,20 @@ def test_coboundary_witness_matches_recorded_digest(capsys, tmp_path, spec,
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("spec,message", [
-    ("S8", "S(8) has order 40320; its table exceeds the memory guard (10000)"),
-    ("A8", "A(8) has order 20160; its table exceeds the memory guard (10000)"),
-    ("S9", "S(9) exceeds the m <= 8 bound"),
-    ("A0", "need m >= 1, got 0"),
-], ids=["S8", "A8", "S9", "A0"])
-def test_permutation_group_refusals(capsys, spec, message):
+@pytest.mark.parametrize("spec,code,message", [
+    ("S8", 1, "computation error: S(8) has order 40320; its table exceeds "
+     "the memory guard (10000)"),
+    ("A8", 1, "computation error: A(8) has order 20160; its table exceeds "
+     "the memory guard (10000)"),
+    ("S9", 1, "computation error: S(9) exceeds the m <= 8 bound"),
+    ("A0", 2, "error: need m >= 1, got 0"),
+    ("C20000", 1, "computation error: table of order 20000 exceeds the "
+     "supported maximum 10000 (memory guard)"),
+], ids=["S8", "A8", "S9", "A0", "C20000"])
+def test_permutation_group_refusals(capsys, spec, code, message):
+    # a size bound exits 1, a malformed spec 2
     assert run(capsys, "group-info", "--group", spec) == (
-        2, "", f"error: {message}\n")
+        code, "", message + "\n")
 
 
 def test_lift_counts(capsys):

@@ -21,9 +21,9 @@ from zcenter.group_core import (direct_product, make_cyclic, make_symmetric,
                                 subgroup, _short_generators)
 from zcenter.snf import solve_modular_linear
 
-from conftest import (bilinear_cochain, make_dihedral4, make_quaternion8,
-                      pullback, random_cochain, shifted, sign_cocycle,
-                      sign_images)
+from conftest import (augmented, bilinear_cochain, make_dihedral4,
+                      make_quaternion8, pullback, random_cochain, shifted,
+                      sign_cocycle, sign_images)
 
 
 # -- cochain mechanics -------------------------------------------------
@@ -462,7 +462,8 @@ def test_generator_rows_decide_like_the_full_system():
     verdicts = set()
     for f in _decision_inputs():
         A, b, _ = _full_system(f)
-        full = solve_modular_linear(A, b, f.modulus) is not None
+        full = solve_modular_linear(augmented(A, b, f.modulus),
+                                    f.modulus) is not None
         v = is_coboundary(f)
         assert v.is_coboundary == full, (f.group.label, f.degree, f.modulus)
         if full:

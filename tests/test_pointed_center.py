@@ -160,7 +160,7 @@ def test_vanishing_implies_all_regular_on_abelian_classes(C2cubed):
 def test_report_verifies_omega_once_and_never_solves(monkeypatch):
     """center_report verifies omega's cocycle identity once (one slab per
     generator) and reads every per-class verdict off the profiles, not
-    the Smith solver."""
+    the linear solver."""
     G = parse_group_spec("C2xC2xC2xC2")
     slabs = []
     real_slab = cohomology._delta_slab
@@ -171,7 +171,7 @@ def test_report_verifies_omega_once_and_never_solves(monkeypatch):
         return real_slab(F, T, g, degree, out)
 
     def no_solver(*args, **kwargs):
-        raise AssertionError("the report path reached the Smith solver")
+        raise AssertionError("the report path reached the linear solver")
 
     monkeypatch.setattr(cohomology, "_delta_slab", counting_slab)
     monkeypatch.setattr(snf, "solve_modular_linear", no_solver)

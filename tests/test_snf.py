@@ -1,13 +1,21 @@
 """Exact modular linear solver, checked against exhaustive search."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zcenter.snf import (MAX_MODULUS, _kernel_mod_p, _row_basis_mod_p,
-                        solve_modular_linear)
+from conftest import augmented
+from zcenter.group_core import _prime_factors
+from zcenter.snf import (MAX_MODULUS, _kernel_mod_p, _prime_power_echelons,
+                        _row_basis_mod_p, solve_modular_linear)
+
+
+def solve(A, b, N):
+    """Solve A x = b (mod N) through the solver's augmented rows."""
+    return solve_modular_linear(augmented(A, b, N), N)
 
 
 def brute_solvable(A, b, N):
@@ -34,7 +42,7 @@ def test_small_random_grid():
         cols = int(rng.integers(1, 4))
         A = rng.integers(-10, 10, size=(rows, cols)).tolist()
         b = rng.integers(-10, 10, size=rows).tolist()
-        x = solve_modular_linear(A, b, N)
+        x = solve(A, b, N)
         if x is None:
             assert not brute_solvable(A, b, N)
         else:
@@ -43,45 +51,44 @@ def test_small_random_grid():
 
 def test_known_instances():
     # 2x = 1 mod 4 has no solution; 2x = 2 mod 4 does
-    assert solve_modular_linear([[2]], [1], 4) is None
-    x = solve_modular_linear([[2]], [2], 4)
+    assert solve([[2]], [1], 4) is None
+    x = solve([[2]], [2], 4)
     check_witness([[2]], [2], 4, x)
     # inconsistent pair
-    assert solve_modular_linear([[1], [1]], [0, 1], 5) is None
+    assert solve([[1], [1]], [0, 1], 5) is None
     # underdetermined
-    x = solve_modular_linear([[1, 1]], [3], 7)
+    x = solve([[1, 1]], [3], 7)
     check_witness([[1, 1]], [3], 7, x)
 
 
 def test_modulus_one_always_solvable():
-    x = solve_modular_linear([[3, 1], [2, 2]], [5, 7], 1)
+    x = solve([[3, 1], [2, 2]], [5, 7], 1)
     assert x == [0, 0]
 
 
 def test_degenerate_shapes():
-    assert solve_modular_linear([], [], 6) == []
-    x = solve_modular_linear([[0, 0]], [0], 6)
+    assert solve([], [], 6) == []
+    x = solve([[0, 0]], [0], 6)
     check_witness([[0, 0]], [0], 6, x)
-    assert solve_modular_linear([[0]], [3], 6) is None
+    assert solve([[0]], [3], 6) is None
     # zero row with zero rhs and a live row
-    x = solve_modular_linear([[0], [2]], [0, 4], 6)
+    x = solve([[0], [2]], [0, 4], 6)
     check_witness([[0], [2]], [0, 4], 6, x)
     # no equations in three unknowns: the zero solution
-    assert solve_modular_linear(np.zeros((0, 3), dtype=np.int64), [],
-                                5) == [0, 0, 0]
+    assert solve(np.zeros((0, 3), dtype=np.int64), [], 5) == [0, 0, 0]
 
 
 def test_large_entries_stay_exact():
     A = [[10 ** 12 + 7, -(10 ** 9)], [3, 10 ** 15]]
     b = [123456789, -987654321]
     N = 997
-    x = solve_modular_linear(A, b, N)
+    x = solve(A, b, N)
     if x is not None:
         check_witness(A, b, N, x)
     # compare against brute force on the reduced system
     Ar = [[a % N for a in row] for row in A]
     br = [v % N for v in b]
-    xr = solve_modular_linear(Ar, br, N)
+    xr = solve(Ar, br, N)
     assert (x is None) == (xr is None)
 
 
@@ -94,16 +101,16 @@ def test_planted_solutions_found(N, A, xs):
     """If b is built from a known x0, the solver must report solvable."""
     x0 = [xs[0] % N, xs[-1] % N]
     b = [sum(a * xi for a, xi in zip(row, x0)) % N for row in A]
-    x = solve_modular_linear(A, b, N)
+    x = solve(A, b, N)
     check_witness(A, b, N, x)
 
 
 def test_non_unit_pivot():
     # mod 4 the unit 1 must be the pivot: x2 = 1 - 2 x1 solves the first
     # system, while 2 x1 + 2 x2 is always even in the second
-    x = solve_modular_linear([[2, 1]], [1], 4)
+    x = solve([[2, 1]], [1], 4)
     check_witness([[2, 1]], [1], 4, x)
-    assert solve_modular_linear([[2, 2]], [1], 4) is None
+    assert solve([[2, 2]], [1], 4) is None
 
 
 def test_prime_power_moduli_against_brute_force():
@@ -118,7 +125,7 @@ def test_prime_power_moduli_against_brute_force():
             b = rng.integers(0, N, size=rows).tolist()
             X = np.array(list(itertools.product(range(N), repeat=cols)))
             hits = ((np.array(A) @ X.T - np.array(b)[:, None]) % N == 0)
-            x = solve_modular_linear(A, b, N)
+            x = solve(A, b, N)
             if x is None:
                 assert not hits.all(axis=0).any(), (N, A, b)
             else:
@@ -135,7 +142,7 @@ def test_planted_system_near_the_modulus_bound():
     rng = np.random.default_rng(3)
     A = rng.integers(0, N, size=(60, 40))
     b = _rhs(A, rng.integers(0, N, size=40), N)
-    x = solve_modular_linear(A, b, N)
+    x = solve(A, b, N)
     check_witness(A.tolist(), b, N, x)
 
 
@@ -148,19 +155,34 @@ def test_planted_composite_system_and_inconsistent_copy():
     # 100 more rows, each a combination of the first 200
     A = np.concatenate([A, rng.integers(0, N, size=(100, 200)) @ A % N])
     b = _rhs(A, rng.integers(0, N, size=40), N)
-    x = solve_modular_linear(A, b, N)
+    x = solve(A, b, N)
     check_witness(A.tolist(), b, N, x)
     # a dependent row with a shifted right-hand side contradicts the rows
     # it combines, so the perturbed copy has no solution
     b[250] = (b[250] + 1) % N
-    assert solve_modular_linear(A, b, N) is None
+    assert solve(A, b, N) is None
 
 
 def test_modulus_bound():
+    rows = augmented([[1]], [1], 5)
     with pytest.raises(ValueError, match=str(MAX_MODULUS)):
-        solve_modular_linear([[1]], [1], MAX_MODULUS)
+        solve_modular_linear(rows, MAX_MODULUS)
     with pytest.raises(ValueError, match="modulus"):
-        solve_modular_linear([[1]], [1], 0)
+        solve_modular_linear(rows, 0)
+
+
+@pytest.mark.parametrize("N", [1, 2, 8, 12, 72, 2 ** 31 - 1, 2 ** 31 - 2])
+def test_prime_power_echelons_split_the_modulus(N):
+    """One prime power q exactly dividing N each, whose product is N; the
+    rows themselves are eliminated when N is a prime power."""
+    M = np.zeros((0, 1), dtype=np.int64)
+    qs = []
+    for q, Mq, found in _prime_power_echelons(M, N):
+        assert len(_prime_factors(q)) == 1 and math.gcd(q, N // q) == 1
+        assert (Mq is M) == (q == N) and found[0] == 0
+        qs.append(q)
+    assert len(set(qs)) == len(qs)
+    assert math.prod(qs) == N
 
 
 # -- row bases and kernels over F_p -----------------------------------
