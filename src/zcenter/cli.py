@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from math import lcm
 
 from .bands import band_center_families, conjugacy_types
@@ -38,17 +39,27 @@ class UsageError(Exception):
     pass
 
 
-def _load_group(spec: str) -> FiniteGroup:
+@contextmanager
+def _reading(kind: str):
+    """Turn a failure to read a group or cocycle into a UsageError (exit
+    2); size bounds and cocycle violations pass through (exit 1)."""
     try:
-        return parse_group_spec(spec)
-    except FileNotFoundError as e:
-        raise UsageError(f"cannot read group file: {e.filename}")
-    except json.JSONDecodeError as e:
-        raise UsageError(f"group file is not valid JSON: {e}")
-    except BoundError:
+        yield
+    except (BoundError, CocycleError):
         raise
+    except FileNotFoundError as e:
+        raise UsageError(f"cannot read {kind} file: {e.filename}")
+    except json.JSONDecodeError as e:
+        raise UsageError(f"{kind} file is not valid JSON: {e}")
+    except RecursionError:
+        raise UsageError(f"{kind} file is nested too deeply to read")
     except (OSError, ValueError) as e:
         raise UsageError(str(e))
+
+
+def _load_group(spec: str) -> FiniteGroup:
+    with _reading("group"):
+        return parse_group_spec(spec)
 
 
 def _resolve_cocycle(G: FiniteGroup, spec: str, modulus, degree_needed=None):
@@ -82,24 +93,11 @@ def _resolve_cocycle(G: FiniteGroup, spec: str, modulus, degree_needed=None):
                     f"--modulus {modulus} conflicts with cup modulus {N}")
         else:
             N = modulus if modulus is not None else exp
-        try:
+        with _reading("cocycle"):
             f = cup3(G, i, j, k, N)
-        except BoundError:
-            raise
-        except ValueError as e:
-            raise UsageError(str(e))
     elif spec.startswith("file:"):
-        path = spec[5:]
-        try:
-            f, correction = load_cocycle(G, path)
-        except FileNotFoundError:
-            raise UsageError(f"cannot read cocycle file: {path}")
-        except json.JSONDecodeError as e:
-            raise UsageError(f"cocycle file is not valid JSON: {e}")
-        except (BoundError, CocycleError):
-            raise
-        except (OSError, ValueError) as e:
-            raise UsageError(str(e))
+        with _reading("cocycle"):
+            f, correction = load_cocycle(G, spec[5:])
         if modulus is not None and modulus != f.modulus:
             raise UsageError(
                 f"--modulus {modulus} conflicts with file modulus {f.modulus}")

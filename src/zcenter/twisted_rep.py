@@ -6,8 +6,8 @@ Wedderburn data: how many irreducibles there are and their dimensions.
 `irrep_profile` computes it once per algebra, by one of two exact routes
 chosen by whether G is abelian (the tests cross-check the two):
 
-  * abelian fast path: the regular elements form a subgroup R and all
-    irreducibles share dimension sqrt(|G|/|R|), with |R| of them;
+  * abelian fast path: the regular elements, decided at the generators,
+    form a subgroup R; all |R| irreducibles have dimension sqrt(|G|/|R|);
   * class algebra: the centre of K^gamma(G) has a basis of twisted
     sums over the gamma-regular classes.  Its characters are the common
     eigenvectors of the multiplication matrices over a prime field, and
@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohomology import Cochain, _require_cocycle
-from .group_core import FiniteGroup, _prime_factors, conjugacy_classes
+from .group_core import (FiniteGroup, _prime_factors, _short_generators,
+                         conjugacy_classes)
 from .snf import _kernel_mod_p, _row_basis_mod_p
 
 __all__ = [
@@ -88,7 +89,7 @@ class IrrepProfile:
 
 
 def _regular_element_mask(G: FiniteGroup, gam: np.ndarray,
-                          elements=slice(None)) -> np.ndarray:
+                          elements) -> np.ndarray:
     """Element g is regular iff gamma(g,x) = gamma(x,g) on its centralizer."""
     table = G.table
     return ((gam[elements] == gam[:, elements].T)
@@ -107,18 +108,17 @@ def regular_classes(T: TwistedGroupAlgebra) -> set:
 def _abelian_profile(T: TwistedGroupAlgebra) -> IrrepProfile:
     """All irreducibles of K^gamma(G), G abelian, share one dimension.
 
-    The regular elements form a subgroup R of square index d^2, and the
-    algebra has |R| irreducibles, each of dimension d (Karpilovsky,
-    Projective Representations of Finite Groups, 1985).
+    beta(x, y) = gamma(x, y) - gamma(y, x) is a bicharacter, so x is
+    regular iff beta(x, s) = 0 at each generator s.  These x form a
+    subgroup R of square index d^2, and the algebra has |R|
+    irreducibles, each of dimension d (Karpilovsky 1985).
     """
-    G = T.group
-    R = np.nonzero(_regular_element_mask(G, T.cocycle.dense))[0]
-    d = math.isqrt(G.order // len(R))
-    if not (np.isin(G.table[np.ix_(R, R)], R).all()
-            and d * d * len(R) == G.order):
-        raise AssertionError(
-            "regular elements do not form a subgroup of square index")
-    return IrrepProfile(dimensions=(d,) * len(R), method="abelian-fast-path")
+    G, gam, S = T.group, T.cocycle.dense, _short_generators(T.group)
+    r = int((gam[:, S] == gam[S].T).all(axis=1).sum())
+    d = math.isqrt(G.order // r)
+    if d * d * r != G.order:
+        raise AssertionError("regular subgroup does not have square index")
+    return IrrepProfile(dimensions=(d,) * r, method="abelian-fast-path")
 
 
 # -- prime-field helpers ----------------------------------------------

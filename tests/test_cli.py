@@ -13,6 +13,8 @@ import sys
 import numpy as np
 import pytest
 
+import zcenter
+from zcenter import bands, cohomology, group_core, pointed_center, twisted_rep
 from zcenter.cli import main
 from zcenter.group_core import (conjugacy_classes, make_symmetric,
                                 parse_group_spec)
@@ -175,6 +177,26 @@ def test_cocycle_file_errors(capsys, tmp_path):
     code, _, err = run(capsys, "cohomology", "--group", "C2",
                        "--cocycle", f"file:{bad}")
     assert code == 2
+
+
+DEEP = "[" * 200000 + "]" * 200000
+
+
+@pytest.mark.parametrize("kind,text", [
+    ("group", DEEP),
+    ("cocycle", DEEP),
+    ("cocycle", '{"modulus": 2, "degree": 2, "entries": %s}' % DEEP),
+], ids=["group", "cocycle", "cocycle-entries"])
+def test_deeply_nested_file_is_a_usage_error(capsys, tmp_path, kind, text):
+    # json's decoder raises RecursionError past the recursion limit, which
+    # ended in a traceback with exit 1
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    argv = (["group-info", "--group", f"file:{path}"] if kind == "group"
+            else ["cohomology", "--group", "C2", "--cocycle", f"file:{path}"])
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {kind} file")
 
 
 @pytest.mark.parametrize("table,problem", [
@@ -540,6 +562,13 @@ def test_module_entry_point():
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["order"] == 6
+
+
+def test_package_exports_every_public_name():
+    for module in (group_core, cohomology, twisted_rep, pointed_center,
+                   bands):
+        for name in module.__all__:
+            assert getattr(zcenter, name) is getattr(module, name), name
 
 
 def test_nonabelian_report_imports_no_numpy_ma():

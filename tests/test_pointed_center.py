@@ -137,7 +137,7 @@ def test_vanishing_iff_unit_lift(C2, C2cubed, C3cubed, S3, D4, Q8):
             res = obstruction(C, i)
             assert (lift_count(C, unit) > 0) == res.vanishes
             # independent side: gamma from the restricted omega, decided
-            # by the Smith-form coboundary solver over mu_{N*exponent}
+            # by the tree-row coboundary solver over mu_{N*exponent}
             g = int(cc.representatives[i])
             H, embed = subgroup(G, centralizer(G, [g]))
             gam = gamma(C.omega.restrict(H, embed),

@@ -2,13 +2,17 @@
 agreement of the two computation paths."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from zcenter.cohomology import Cochain, CocycleError, coboundary, cup3, gamma
+from zcenter import twisted_rep
 from zcenter.group_core import (FiniteGroup, direct_product, make_cyclic,
-                                make_symmetric, conjugacy_classes)
+                                make_symmetric, conjugacy_classes,
+                                parse_group_spec)
+from zcenter.pointed_center import PointedCategory
 from zcenter.twisted_rep import (PRIME_LIMIT, IrrepProfile,
                                  TwistedGroupAlgebra, irrep_profile,
                                  ordinary_character_degrees,
@@ -17,7 +21,7 @@ from zcenter.twisted_rep import (PRIME_LIMIT, IrrepProfile,
 
 from conftest import (bilinear_cochain, make_dihedral4, pullback,
                       quotient_by_center, random_cochain,
-                      schur_cover_cocycle)
+                      schur_cover_cocycle, shifted)
 
 
 def algebra(G, coeffs, N):
@@ -114,6 +118,7 @@ AGREEMENT_GRID = [
     ("C8", (8,), 2), ("C2xC2xC2", (2, 2, 2), 2), ("C3", (3,), 3),
     ("C3xC3", (3, 3), 3), ("C9", (9,), 3), ("C6", (6,), 6),
     ("C2xC6", (2, 6), 6), ("C3xC3xC3", (3, 3, 3), 3),
+    ("C2xC6", (2, 6), 12), ("C4xC6", (4, 6), 12), ("C12xC4", (12, 4), 12),
 ]
 
 
@@ -134,6 +139,41 @@ def test_paths_agree(label, factors, N):
         assert len(fast.dimensions) == len(regular_classes(T))
         assert fast.method == "abelian-fast-path"
         assert slow.method == "class-algebra"
+
+
+# group, modulus, cup cocycles (factor triples) besides the zero cocycle
+GENERATOR_RULE_CASES = [
+    ("C2xC2xC2xC2xC2xC2xC2", 2, [(0, 1, 2)]),
+    ("C4xC4xC8", 8, [(0, 1, 2), (2, 2, 2)]),
+    ("C12xC4xC2", 12, [(0, 1, 2), (0, 1, 0)]),
+    ("C6xC6xC3", 6, [(0, 1, 2), (1, 1, 2)]),
+]
+
+
+@pytest.mark.parametrize("spec,N,cups", GENERATOR_RULE_CASES)
+def test_abelian_profile_matches_the_defining_rule(spec, N, cups):
+    # x is regular iff gamma(x, y) = gamma(y, x) for every y; the fast
+    # path reads gamma only at the generators
+    G = parse_group_spec(spec)
+    rng = np.random.default_rng(len(G.cyclic_factors))
+    cocycles = [Cochain.zero(G, 3, N)] + [cup3(G, *c, N) for c in cups]
+    for omega in cocycles + [shifted(w, rng) for w in cocycles]:
+        C = PointedCategory(G, omega)
+        for i in range(G.order):
+            T = C.class_algebra(i)
+            gam = T.cocycle.dense
+            r = int((gam == gam.T).all(axis=1).sum())
+            d = math.isqrt(G.order // r)
+            assert d * d * r == G.order
+            assert _abelian_profile(T).dimensions == (d,) * r
+
+
+def test_abelian_profile_needs_no_regular_element_mask(monkeypatch, C2xC4):
+    def refuse(*args):
+        raise AssertionError("full regular-element mask computed")
+    monkeypatch.setattr(twisted_rep, "_regular_element_mask", refuse)
+    T = algebra(C2xC4, {(0, 1): 1}, 4)
+    assert irrep_profile(T).dimensions == (2, 2)
 
 
 def test_auto_uses_extension_for_nonabelian(S3):
