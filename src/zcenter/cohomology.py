@@ -371,8 +371,9 @@ def embed_modulus(f: Cochain, M: int) -> Cochain:
     zeta_M^(v*M/N).  Cocycles stay cocycles and coboundaries stay
     coboundaries; the reverse fails, which is the point: deciding
     whether a class dies over the full unit group K^x needs room for
-    the witness, and modulus N * exponent(G) always suffices, because
-    any phi with delta(phi) = f has phi^N equal to a character.
+    the witness.  Modulus N * exponent(G) suffices in degree 2, where any
+    phi with delta(phi) = f has phi^N equal to a character; degree 3
+    needs N * |G|, as |G|, not always exponent(G), kills phi^N's class.
     """
     check_modulus(M)  # before the rescaling, which must fit in int64
     if M % f.modulus:

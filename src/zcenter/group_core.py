@@ -735,6 +735,11 @@ def parse_group_spec(spec: str) -> FiniteGroup:
     if spec[0] == "A":
         return make_alternating(int(spec[1:]))
     parts = [int(p[1:]) for p in spec.split("x")]
+    order = 1  # refuse an oversize product before building any factor
+    for n in parts:
+        if n < 1:
+            break  # make_cyclic refuses it
+        order = _check_table_order(order * _check_table_order(n))
     G = make_cyclic(parts[0])
     for n in parts[1:]:
         G = direct_product(G, make_cyclic(n))

@@ -7,8 +7,8 @@ Storjohann & Mulders, "Fast algorithms for linear algebra modulo N",
 [coefficients | constant] meaning M[:, :-1] x + M[:, -1] = 0, as
 `cohomology._tree_rows` builds them; `_prime_power_echelons` echelons it
 over each prime power of N, for `solve_modular_linear` and for e2_11.
-At k = 1 `_echelon` gives `twisted_rep` its row bases and kernels over
-F_p.  Residues stay below 2^31, so a product of two fits in int64.
+At k = 1 `_echelon` gives `twisted_rep` its row bases over F_p.
+Residues stay below 2^31, so a product of two fits in int64.
 """
 
 from __future__ import annotations
@@ -96,17 +96,6 @@ def _row_basis_mod_p(M, p: int):
     B = np.empty((r, len(cols)), dtype=np.int64)
     B[:, cols] = M[:r]
     return B, cols[:r]
-
-
-def _kernel_mod_p(M, p: int) -> np.ndarray:
-    """Independent rows K spanning the right kernel of M mod p: M K^T = 0."""
-    B, pivots = _row_basis_mod_p(M, p)
-    free = np.ones(B.shape[1], dtype=bool)
-    free[pivots] = False
-    K = np.zeros((B.shape[1] - len(B), B.shape[1]), dtype=np.int64)
-    K[:, free] = np.eye(len(K), dtype=np.int64)
-    K[:, pivots] = -B[:, free].T % p
-    return K
 
 
 def _prime_power_echelons(M: np.ndarray, N: int):

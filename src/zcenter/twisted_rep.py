@@ -18,7 +18,7 @@ chosen by whether G is abelian (the tests cross-check the two):
 
 No floating point anywhere; eigenvalue work happens in F_p with
 p = 1 mod N * exponent and p > 2 sqrt(order), which pins degrees uniquely.
-Row bases and kernels over F_p come from the elimination in `snf`.
+Row bases over F_p come from the elimination in `snf`.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from .cohomology import Cochain, _require_cocycle
 from .group_core import (FiniteGroup, _prime_factors, _short_generators,
                          conjugacy_classes)
-from .snf import _kernel_mod_p, _row_basis_mod_p
+from .snf import _row_basis_mod_p
 
 __all__ = [
     "TwistedGroupAlgebra",
@@ -178,14 +178,18 @@ def _eigenspaces(B: np.ndarray, A: np.ndarray, p: int) -> list:
         S = _matpow_mod_p((C + a * I) % p, (p - 1) // 2, p)
         if (S == S[0, 0] * I).all():
             continue
-        parts = [_kernel_mod_p(S.T - t * I, p) for t in (0, 1, p - 1)]
-        if sum(len(P) for P in parts) != len(C):
+        S2 = S @ S % p
+        if (S2 @ S % p != S).any():
             raise AssertionError(
                 "class matrix is not diagonalisable over F_p; the chosen "
                 "prime cannot separate characters")
-        if max(len(P) for P in parts) < len(C):
-            return [E for P in parts if len(P)
-                    for E in _eigenspaces(P @ B % p, A, p)]
+        # S^3 = S: I - S^2 and (S^2 +- S)/2 project onto its 0, 1 and -1
+        # eigenspaces, and none of them is I, since S is not scalar
+        h = (p + 1) // 2
+        parts = [_row_basis_mod_p(P, p)[0]
+                 for P in (I - S2, (S2 + S) * h, (S2 - S) * h)]
+        return [E for P in parts if len(P)
+                for E in _eigenspaces(P @ B % p, A, p)]
     raise AssertionError("no shift separates the eigenvalues")
 
 

@@ -142,6 +142,29 @@ def test_cohomology_non_cocycle_file_reports(capsys, tmp_path):
     assert "failure certificate: 1 1 1 1" in out
 
 
+def test_cohomology_degree0_file(capsys, tmp_path):
+    path = tmp_path / "d0.json"
+    path.write_text(json.dumps({"modulus": 2, "degree": 0, "entries": [[1]]}))
+    code, out, _ = run(capsys, "cohomology", "--group", "C2",
+                       "--cocycle", f"file:{path}")
+    assert code == 0
+    assert "cocycle: yes (degree 0, trivial action)" in out
+    payload = run_json(capsys, "cohomology", "--group", "C2",
+                       "--cocycle", f"file:{path}")
+    assert payload["is_cocycle"] is True
+
+
+def test_cohomology_normalization_note(capsys, tmp_path):
+    # f(0, 0) = f(1, 0) = 1 on C2: not normalized, and the note says so
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"modulus": 2, "degree": 2,
+                                "entries": [[0, 1, 1], [1, 0, 1], [0, 0, 1]]}))
+    code, out, _ = run(capsys, "cohomology", "--group", "C2",
+                       "--cocycle", f"file:{path}")
+    assert code == 0
+    assert "note: input was normalized by subtracting a coboundary" in out
+
+
 def test_cocycle_spec_errors(capsys):
     for spec in ("wat", "cup:0,1", "cup:a,b,c", "cup:0,0,0:x"):
         code, _, err = run(capsys, "cohomology", "--group", "C2",
@@ -165,6 +188,11 @@ def test_cocycle_spec_errors(capsys):
                        "--cocycle", "cup:0,0,5")
     assert code == 2
 
+    code, _, err = run(capsys, "cohomology", "--group", "C2",
+                       "--cocycle", "cup:0,0,0:2:4")
+    assert code == 2
+    assert "malformed cup spec" in err
+
 
 def test_cocycle_file_errors(capsys, tmp_path):
     code, _, err = run(capsys, "cohomology", "--group", "C2",
@@ -177,6 +205,19 @@ def test_cocycle_file_errors(capsys, tmp_path):
     code, _, err = run(capsys, "cohomology", "--group", "C2",
                        "--cocycle", f"file:{bad}")
     assert code == 2
+
+    bad.write_text(json.dumps({"modulus": 2, "degree": 2,
+                               "entries": {"a": 1}}))
+    code, _, err = run(capsys, "cohomology", "--group", "C2",
+                       "--cocycle", f"file:{bad}")
+    assert code == 2
+    assert "must be a list" in err
+
+    bad.write_text(json.dumps({"modulus": 2, "degree": 2, "entries": []}))
+    code, _, err = run(capsys, "cohomology", "--group", "C2",
+                       "--cocycle", f"file:{bad}", "--modulus", "4")
+    assert code == 2
+    assert "conflicts with file modulus 2" in err
 
 
 DEEP = "[" * 200000 + "]" * 200000
@@ -539,6 +580,16 @@ def test_bands_types_s3(capsys):
         n, images = w["type"], w["images"]
         for g in range(6):
             assert cls[images[g]] == cls[S3.power(g, n)]
+
+
+@pytest.mark.parametrize("group,bound", [
+    ("C2xC2xC2xC2xC2xC2", "length 6 > 5"),
+    ("S6", "512 enumeration bound"),
+])
+def test_bands_types_refusals(capsys, group, bound):
+    code, out, err = run(capsys, "bands", "types", "--group", group)
+    assert (code, out) == (1, "")
+    assert bound in err
 
 
 def test_bands_families(capsys):

@@ -12,7 +12,8 @@ import pytest
 
 from zcenter import group_core
 from zcenter.cohomology import Cochain
-from zcenter.group_core import (FiniteGroup, GroupHom, center, centralizer,
+from zcenter.group_core import (BoundError, FiniteGroup, GroupHom, center,
+                                centralizer,
                                 conjugacy_classes, direct_product,
                                 enumerate_homomorphisms, generating_sequence,
                                 group_from_json, load_group, make_alternating,
@@ -628,6 +629,8 @@ def test_centralizer_intersection(S3):
     assert centralizer(S3, [t, r]) == (S3.identity,)
     assert len(centralizer(S3, [t])) == 2
     assert centralizer(S3, [S3.identity]) == tuple(range(6))
+    with pytest.raises(ValueError, match="empty set"):
+        centralizer(S3, [])
 
 
 # -- subgroups ---------------------------------------------------------
@@ -1055,3 +1058,15 @@ def test_parse_group_spec(tmp_path):
     for bad in ("X9", "C", "C2x", "S3xC2", ""):
         with pytest.raises(ValueError):
             parse_group_spec(bad)
+
+
+@pytest.mark.parametrize("spec", ["C10000xC2", "C100xC100xC2"])
+def test_oversize_cyclic_product_refused_before_building(monkeypatch, spec):
+    # C10000 alone is a 200 MB table, built before the product's bound
+    # was checked
+    def no_build(n):
+        raise AssertionError(f"C{n} built")
+
+    monkeypatch.setattr(group_core, "make_cyclic", no_build)
+    with pytest.raises(BoundError, match="table of order 20000 exceeds"):
+        parse_group_spec(spec)

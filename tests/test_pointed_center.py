@@ -64,6 +64,8 @@ def test_class_algebra_structure(S3):
 def test_class_algebra_cached(S3):
     C = cat(S3)
     assert C.class_algebra(0) is C.class_algebra(0)
+    with pytest.raises(ValueError, match=r"class index 3 out of range"):
+        C.class_algebra(3)
 
 
 def test_e2_00_basis(S4):

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import augmented
 from zcenter.group_core import _prime_factors
-from zcenter.snf import (MAX_MODULUS, _kernel_mod_p, _prime_power_echelons,
-                        _row_basis_mod_p, solve_modular_linear)
+from zcenter.snf import (MAX_MODULUS, _prime_power_echelons, _row_basis_mod_p,
+                         solve_modular_linear)
 
 
 def solve(A, b, N):
@@ -185,7 +185,7 @@ def test_prime_power_echelons_split_the_modulus(N):
     assert math.prod(qs) == N
 
 
-# -- row bases and kernels over F_p -----------------------------------
+# -- row bases over F_p ------------------------------------------------
 
 def _rank_mod_p(M, p):
     return len(_row_basis_mod_p(M, p)[0])
@@ -202,14 +202,11 @@ def test_row_basis_and_kernel_mod_p(p):
         M = (rng.integers(0, p, size=(m, r))
              @ rng.integers(0, p, size=(r, n)) % p)
         B, pivots = _row_basis_mod_p(M, p)
-        K = _kernel_mod_p(M, p)
         assert (B[:, pivots] == np.eye(len(B), dtype=np.int64)).all()
-        assert len(B) <= r and len(B) + len(K) == n
-        assert K.shape == (n - len(B), n)
-        assert not (M @ K.T % p).any()
-        assert _rank_mod_p(K, p) == len(K)
+        assert len(B) <= r
         assert _rank_mod_p(np.vstack([B, M]), p) == len(B)
         if p < 5 and n <= 6:
+            # M's kernel has p^(n - rank M) vectors, so this pins the rank
             X = np.array(list(itertools.product(range(p), repeat=n)))
             zeros = (~(M @ X.T % p).any(axis=0)).sum()
-            assert zeros == p ** len(K)
+            assert zeros == p ** (n - len(B))

@@ -17,7 +17,8 @@ from zcenter.twisted_rep import (PRIME_LIMIT, IrrepProfile,
                                  TwistedGroupAlgebra, irrep_profile,
                                  ordinary_character_degrees,
                                  regular_classes, _abelian_profile,
-                                 _class_algebra_profile, _dixon_prime)
+                                 _class_algebra_profile, _dixon_prime,
+                                 _eigenspaces)
 
 from conftest import (bilinear_cochain, make_dihedral4, pullback,
                       quotient_by_center, random_cochain,
@@ -285,6 +286,17 @@ def test_dixon_prime_bound_covers_old_extension_bound():
     # every N' * |C(g)| <= 4096 that a central extension of order at most
     # 4096 accepted has N' * exponent <= 4096 and order <= 512 here
     assert all(_dixon_prime(m, 512) < PRIME_LIMIT for m in range(1, 4097))
+
+
+# -- eigenspaces over F_p ----------------------------------------------
+
+@pytest.mark.parametrize("p", [3, 5, 13])
+def test_eigenspaces_refuse_a_jordan_block(p):
+    # (J + a)^((p-1)/2) is a Jordan block too whenever J + a is
+    # invertible, so no shift splits it and S^3 != S
+    J = np.array([[1, 1], [0, 1]], dtype=np.int64)
+    with pytest.raises(AssertionError, match="not diagonalisable"):
+        _eigenspaces(np.eye(2, dtype=np.int64), J, p)
 
 
 # -- counting ----------------------------------------------------------
