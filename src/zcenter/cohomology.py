@@ -16,12 +16,14 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
 
 from .group_core import (BoundError, FiniteGroup, _bfs_layers,
-                         _failure_certificate, _short_generators, center)
+                         _failure_certificate, _short_generators, center,
+                         centralizer, subgroup)
 from .snf import check_modulus, solve_modular_linear
 
 __all__ = [
@@ -59,8 +61,9 @@ class CocycleError(ValueError):
 class Cochain:
     """A normalized function G^k -> Z/N (k = 0..3), stored dense.
 
-    The sparse `values` map (absent tuple = 0) is a read-only view built
-    on first access; serialization and all arithmetic read the dense array.
+    The dense array is read-only, so the verdict `is_cocycle` keeps in
+    `_verdict` stays true.  The sparse `values` map (absent tuple = 0) is
+    built on first access; all arithmetic reads the dense array.
     """
 
     def __init__(self, group: FiniteGroup, degree: int, modulus: int,
@@ -95,25 +98,24 @@ class Cochain:
         return f
 
     def _install(self, group, degree, modulus, arr):
-        """Set the fields, with arr as the values, once it is normalized."""
+        """Set the fields, with arr frozen as the values, once normalized."""
         axis = _unnormalized_axis(arr, group.identity)
         if axis is not None:
             raise ValueError(
                 "cochain is not normalized (nonzero on an identity "
                 f"argument, axis {axis})")
+        if isinstance(arr, np.ndarray):
+            arr.flags.writeable = False
         self.group = group
         self.degree = degree
         self.modulus = modulus
         self.dense = arr
-        self._values = None
+        self._verdict = None  # is_cocycle's, once known
 
-    @property
+    @cached_property
     def values(self) -> dict:
-        if self._values is None:
-            self._values = {tuple(int(i) for i in idx):
-                            int(self.dense[tuple(idx)])
-                            for idx in np.argwhere(self.dense)}
-        return self._values
+        return {tuple(int(i) for i in idx): int(self.dense[tuple(idx)])
+                for idx in np.argwhere(self.dense)}
 
     def __call__(self, *args) -> int:
         if len(args) != self.degree:
@@ -241,9 +243,8 @@ def is_cocycle(f: Cochain) -> CohomologyClassVerdict:
     """
     if f.degree not in (1, 2, 3):
         raise ValueError("cocycle check needs degree 1, 2, or 3")
-    cached = f.__dict__.get("_cocycle_verdict")
-    if cached is not None:
-        return cached
+    if f._verdict is not None:
+        return f._verdict
     slab = np.empty_like(f.dense)
 
     def delta_at(g):
@@ -253,14 +254,14 @@ def is_cocycle(f: Cochain) -> CohomologyClassVerdict:
     cert = _failure_certificate(f.group, delta_at)
     verdict = CohomologyClassVerdict(is_cocycle=cert is None,
                                      failure_certificate=cert)
-    f.__dict__["_cocycle_verdict"] = verdict
+    f._verdict = verdict
     return verdict
 
 
 def _require_cocycle(f: Cochain, role: str) -> None:
     """Refuse f, naming `role` and the failure certificate, unless it is
-    a cocycle."""
-    cert = is_cocycle(f).failure_certificate
+    a cocycle; a verdict f already holds is read, not checked again."""
+    cert = (f._verdict or is_cocycle(f)).failure_certificate
     if cert is not None:
         raise CocycleError(f"{role} fails the cocycle identity at {cert}",
                            certificate=cert)
@@ -382,13 +383,20 @@ def embed_modulus(f: Cochain, M: int) -> Cochain:
     return Cochain(f.group, f.degree, M, dense=f.dense * scale)
 
 
-def _gamma_dense(W: np.ndarray, z: int) -> np.ndarray:
-    """omega(x,y,z) - omega(x,z,y) + omega(z,x,y) over all x, y.
+def _gamma(omega: Cochain, g: int) -> Cochain:
+    """gamma_g on the centralizer C(g), G itself for a central g.
 
-    Reads three n x n planes of the dense 3-cochain W and sweeps nothing;
-    callers that restrict to C(z) index the result by np.ix_(embed, embed).
+    gamma_g(x, y) = omega(x,y,g) - omega(x,g,y) + omega(g,x,y) mod N, cut
+    from three planes of omega, is a 2-cocycle on C(g) whenever omega is a
+    3-cocycle (Dijkgraaf, Pasquier & Roche 1990): it takes omega's verdict.
     """
-    return W[:, :, z] - W[:, z, :] + W[z, :, :]
+    _require_cocycle(omega, "omega")
+    G, W = omega.group, omega.dense
+    H, embed = subgroup(G, centralizer(G, [g]))
+    planes = W[:, :, g] - W[:, g, :] + W[g]
+    gam = Cochain(H, 2, omega.modulus, dense=planes[np.ix_(embed, embed)])
+    gam._verdict = omega._verdict
+    return gam
 
 
 def gamma(omega: Cochain, z: int) -> Cochain:
@@ -403,7 +411,7 @@ def gamma(omega: Cochain, z: int) -> Cochain:
     G._check_index(z)
     if z not in center(G):
         raise ValueError(f"element {z} is not central in {G.label}")
-    return Cochain(G, 2, omega.modulus, dense=_gamma_dense(omega.dense, z))
+    return _gamma(omega, z)
 
 
 # -- serialization -----------------------------------------------------

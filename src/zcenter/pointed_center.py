@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cohomology import Cochain, _gamma_dense, _require_cocycle, _tree_rows
-from .group_core import FiniteGroup, centralizer, conjugacy_classes, subgroup
+from .cohomology import Cochain, _gamma, _require_cocycle, _tree_rows
+from .group_core import FiniteGroup, conjugacy_classes
 from .snf import _prime_power_echelons
 from .twisted_rep import TwistedGroupAlgebra, irrep_profile
 
@@ -45,8 +45,8 @@ MAX_LIFT_WORK = 2 ** 24
 class PointedCategory:
     """A finite group together with a degree-3 associator cocycle.
 
-    The cocycle identity is checked once, here; per-class gamma is cut
-    from omega's planes at the representative and never re-verified.
+    The cocycle identity is checked once, here; each class's gamma
+    (`cohomology._gamma`) takes omega's verdict and is never re-verified.
     """
 
     def __init__(self, group: FiniteGroup, omega: Cochain):
@@ -67,13 +67,8 @@ class PointedCategory:
         cc = conjugacy_classes(self.group)
         if not 0 <= i < cc.count:
             raise ValueError(f"class index {i} out of range (0..{cc.count - 1})")
-        g = int(cc.representatives[i])
-        H, embed = subgroup(self.group, centralizer(self.group, [g]))
-        dense = _gamma_dense(self.omega.dense, g)[np.ix_(embed, embed)]
-        # gamma_g is a 2-cocycle on C(g) because omega is a 3-cocycle
-        # (Dijkgraaf, Pasquier & Roche 1990), so it is not checked again
-        alg = TwistedGroupAlgebra._verified(
-            H, Cochain(H, 2, self.modulus, dense=dense))
+        gam = _gamma(self.omega, int(cc.representatives[i]))
+        alg = TwistedGroupAlgebra(gam.group, gam)
         self._algebras[i] = alg
         return alg
 

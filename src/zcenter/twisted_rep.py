@@ -47,7 +47,10 @@ PRIME_LIMIT = 2 ** 20
 
 
 class TwistedGroupAlgebra:
-    """K^gamma(G) for a normalized 2-cocycle gamma with values mod N."""
+    """K^gamma(G) for a normalized 2-cocycle gamma with values mod N.
+
+    A cocycle already holding its verdict, as each class's gamma from
+    `cohomology._gamma` holds omega's, is not swept again."""
 
     def __init__(self, group: FiniteGroup, cocycle: Cochain):
         if cocycle.degree != 2:
@@ -59,14 +62,6 @@ class TwistedGroupAlgebra:
         self.cocycle = cocycle
         self.modulus = cocycle.modulus
         self._profile = None
-
-    @classmethod
-    def _verified(cls, group: FiniteGroup, cocycle: Cochain):
-        """Wrap a degree-2 cochain on `group` already known to be a cocycle."""
-        alg = cls.__new__(cls)
-        alg.group, alg.cocycle = group, cocycle
-        alg.modulus, alg._profile = cocycle.modulus, None
-        return alg
 
     def __repr__(self):
         return (f"TwistedGroupAlgebra({self.group.label}, "

@@ -301,7 +301,8 @@ def test_certificates_past_the_short_generators(S4):
         for degree in (2, 3):
             N = 3
             base = coboundary(random_cochain(S4, degree - 1, N, rng))
-            q = random_cochain(S4, degree, N, rng).dense
+            # a copy: a cochain's own array is read-only
+            q = random_cochain(S4, degree, N, rng).dense.copy()
             q[0] = 0
             f = Cochain(S4, degree, N, dense=base.dense + q[coset])
             expected = tuple(int(x)
@@ -317,6 +318,28 @@ def test_certificates_past_the_short_generators(S4):
 def test_cocycle_verdict_cached(C4):
     f = Cochain(C4, 2, 5, values={(1, 2): 1})
     assert is_cocycle(f) is is_cocycle(f)
+
+
+def test_cochain_arrays_are_read_only(tmp_path, C2cubed):
+    """No cochain's array can be written, whichever way it was made, so
+    a kept verdict stays true.  Flipping w(1, 2, 3) in a verified
+    cup:0,1,2 on C2^3 would break the identity at (1, 1, 2, 3) while
+    is_cocycle still said yes."""
+    w = cup3(C2cubed, 0, 1, 2, 2)
+    assert is_cocycle(w).is_cocycle
+    text, escaped = tmp_path / "w.json", tmp_path / "escaped.json"
+    text.write_text(json.dumps(cochain_to_json(w)))
+    # a backslash in the text sends it to json.loads + cochain_from_json
+    escaped.write_text(json.dumps(dict(cochain_to_json(w), note="a\tb")))
+    made = [Cochain(C2cubed, 2, 2, values={(1, 2): 1}), w,
+            coboundary(Cochain(C2cubed, 1, 2, values={1: 1})), gamma(w, 1),
+            load_cocycle(C2cubed, str(text))[0],
+            load_cocycle(C2cubed, str(escaped))[0],
+            cochain_from_json(C2cubed, cochain_to_json(w))[0]]
+    for f in made:
+        with pytest.raises(ValueError, match="read-only"):
+            f.dense[(1, 2, 3)[:f.degree]] += 1
+    assert w == cup3(C2cubed, 0, 1, 2, 2) and is_cocycle(w).is_cocycle
 
 
 def test_degree_zero_rejected(C4):
@@ -630,7 +653,9 @@ def test_gamma_is_always_a_cocycle(C2cubed, C3cubed):
     for G, n in ((C2cubed, 2), (C3cubed, 3)):
         w = shifted(cup3(G, 0, 1, 2, n), rng)
         for z in rng.integers(0, G.order, 4):
-            assert is_cocycle(gamma(w, int(z))).is_cocycle
+            gam = gamma(w, int(z))
+            # gam holds omega's verdict, so a fresh copy of it is swept
+            assert is_cocycle(Cochain(G, 2, n, dense=gam.dense)).is_cocycle
 
 
 def test_gamma_closed_form_at_e1(C2cubed, C3cubed):
@@ -790,6 +815,7 @@ def test_readers_adopt_their_dense_array(tmp_path, C4, C2cubed):
     arr[1, 2] = 3
     f = Cochain._owning(C4, 2, 5, arr)
     assert f.dense is arr and f(1, 2) == 3 and f.values == {(1, 2): 3}
+    arr = np.zeros((4, 4), dtype=np.int64)  # f's array is read-only now
     arr[0, 1] = 1
     with pytest.raises(ValueError, match="not normalized"):
         Cochain._owning(C4, 2, 5, arr)

@@ -10,11 +10,12 @@ import pytest
 
 from zcenter import cohomology, group_core, snf
 from zcenter.cohomology import (Cochain, CocycleError, coboundary, cup3,
-                                embed_modulus, gamma, is_coboundary)
+                                embed_modulus, gamma, is_coboundary,
+                                is_cocycle)
 from zcenter.group_core import (center, centralizer, conjugacy_classes,
-                                direct_product, generating_sequence,
-                                make_cyclic, make_symmetric,
-                                parse_group_spec, subgroup)
+                                direct_product, enumerate_homomorphisms,
+                                generating_sequence, make_cyclic,
+                                make_symmetric, parse_group_spec, subgroup)
 from zcenter.pointed_center import (MAX_LIFT_WORK, CentralObjectSpec,
                                     PointedCategory, center_report,
                                     count_simple_central_objects,
@@ -24,7 +25,8 @@ from zcenter.pointed_center import (MAX_LIFT_WORK, CentralObjectSpec,
 from zcenter.twisted_rep import (TwistedGroupAlgebra, irrep_profile,
                                  regular_classes)
 
-from conftest import pullback, random_cochain, shifted, sign_cocycle
+from conftest import (make_dihedral4, pullback, random_cochain, shifted,
+                      sign_cocycle)
 from oracles import brute_force_hom_images, oracle_lift_count
 
 
@@ -212,6 +214,33 @@ def test_report_reverifies_no_gamma_and_no_centralizer(monkeypatch):
     assert built == []
     assert all(C.class_algebra(i).group is G for i in range(G.order))
     assert report.simple_central_objects > 0
+
+
+def test_inherited_gamma_verdicts_are_true(S4, S5, A4):
+    """Each class algebra's gamma takes omega's verdict unswept; a fresh
+    copy of it, swept in full, is a cocycle.  The categories: the cup
+    cocycles of center-abelian, the sign pullbacks on S4 and S5, A4 -> C3,
+    and D4xC2^4 (80 classes, centralizers of order 64 and 128) with
+    cup:0,1,2 of its C2^4 factor at N = 4; each plain and shifted."""
+    C3, C2_4 = make_cyclic(3), parse_group_spec("C2xC2xC2xC2")
+    onto = next(a.images for a in enumerate_homomorphisms(A4, C3)
+                if len(set(a.images.tolist())) == 3)
+    D = direct_product(make_dihedral4(), C2_4)
+    omegas = [cup3(parse_group_spec(spec), 0, 1, 2, N)
+              for spec, N in (("C2xC2xC2xC2xC2", 2), ("C3xC3xC3", 3),
+                              ("C4xC4xC2", 4))]
+    omegas += [sign_cocycle(S4), sign_cocycle(S5),
+               pullback(cup3(C3, 0, 0, 0, 3), A4, onto),
+               pullback(cup3(C2_4, 0, 1, 2, 4), D, np.arange(D.order) % 16)]
+    rng = np.random.default_rng(30)
+    for omega in omegas:
+        for w in (omega, shifted(omega, rng)):
+            C = PointedCategory(w.group, w)
+            for i in range(conjugacy_classes(w.group).count):
+                gam = C.class_algebra(i).cocycle
+                assert gam._verdict is w._verdict
+                fresh = Cochain(gam.group, 2, gam.modulus, dense=gam.dense)
+                assert is_cocycle(fresh).is_cocycle, (w.group.label, i)
 
 
 def test_report_on_s5_verifies_omega_at_two_generators(monkeypatch, S5):

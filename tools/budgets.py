@@ -83,6 +83,13 @@ CASES = [
       "--json"], 120, None, 0, None),
     (["center-report", "--group", "C4xC4xC8", "--cocycle", "cup:0,1,2:8",
       "--json"], 120, None, 0, '"simple_central_objects": 1600'),
+    # the non-abelian report at the degree-3 order bound: D4xC2^4, read
+    # from a group file, has 80 classes, each class algebra on a
+    # centralizer of order 64 or 128 through the class-algebra path;
+    # untwisted it has 22 * 256 = 5632 simples (4.2-5.2 s at 61-62 MB on
+    # a 2-core VM)
+    (["center-report", "--group", "file:{dir}/D4xC2_4.json", "--cocycle",
+      "zero", "--json"], 120, 120, 0, '"simple_central_objects": 5632'),
     # lifts: every class algebra of C2^7 with omega = 0 has 128
     # irreducibles, so multiplicity 2^17 is exactly MAX_LIFT_WORK = 2^24
     # big-integer additions; one more is refused, naming the bound
@@ -94,14 +101,15 @@ CASES = [
 
 
 def write_inputs(d: str) -> None:
-    """Write the cocycle files of CASES into d; run in its own process."""
+    """Write the input files of CASES into d; run in its own process."""
     import itertools
     import json
 
     import numpy as np
 
     from zcenter.cohomology import Cochain, coboundary, cochain_to_json
-    from zcenter.group_core import parse_group_spec
+    from zcenter.group_core import (FiniteGroup, direct_product,
+                                    parse_group_spec)
 
     entries = [[g, h, k, (g >> 6) & (h >> 5) & (k >> 4) & 1]
                for g, h, k in itertools.product(range(128), repeat=3)]
@@ -118,6 +126,14 @@ def write_inputs(d: str) -> None:
         f = coboundary(Cochain(G, 2, N, dense=phi))
         with open(os.path.join(d, f"{group}.json"), "w") as fh:
             json.dump(cochain_to_json(f), fh)
+    # D4 as r^a s^b at index a + 4b: (a, b)(c, e) = (a + (-1)^b c, b + e)
+    D4 = FiniteGroup([[(a + (-1) ** b * c) % 4 + 4 * ((b + e) % 2)
+                       for e, c in itertools.product(range(2), range(4))]
+                      for b, a in itertools.product(range(2), range(4))])
+    G = direct_product(D4, parse_group_spec("C2xC2xC2xC2"))
+    with open(os.path.join(d, "D4xC2_4.json"), "w") as fh:
+        json.dump({"order": G.order, "table": G.table.tolist(),
+                   "label": "D4xC2^4"}, fh)
 
 
 def spawn(argv, env, stdout=None, stderr=None):
