@@ -20,7 +20,7 @@ import numpy as np
 from .cohomology import Cochain, _gamma, _require_cocycle, _tree_rows
 from .group_core import FiniteGroup, conjugacy_classes
 from .snf import _prime_power_echelons
-from .twisted_rep import TwistedGroupAlgebra, irrep_profile
+from .twisted_rep import irrep_profile
 
 __all__ = [
     "PointedCategory",
@@ -60,17 +60,17 @@ class PointedCategory:
         self.modulus = omega.modulus
         self._algebras = {}
 
-    def class_algebra(self, i: int) -> TwistedGroupAlgebra:
-        """K^{gamma_i} C_G(g_i) for the i-th conjugacy class."""
+    def class_algebra(self, i: int) -> Cochain:
+        """gamma_i on C_G(g_i) for the i-th conjugacy class: the 2-cocycle
+        that determines the twisted algebra K^{gamma_i} C_G(g_i)."""
         if i in self._algebras:
             return self._algebras[i]
         cc = conjugacy_classes(self.group)
         if not 0 <= i < cc.count:
             raise ValueError(f"class index {i} out of range (0..{cc.count - 1})")
         gam = _gamma(self.omega, int(cc.representatives[i]))
-        alg = TwistedGroupAlgebra(gam.group, gam)
-        self._algebras[i] = alg
-        return alg
+        self._algebras[i] = gam
+        return gam
 
     def __repr__(self):
         return f"PointedCategory({self.group.label}, N={self.modulus})"
@@ -129,13 +129,13 @@ def obstruction(C: PointedCategory, i: int) -> ObstructionResult:
     delta(phi) = gamma; conversely such a phi is a 1-dim rep
     (Karpilovsky, Projective Representations of Finite Groups, 1985).
     """
-    alg = C.class_algebra(i)
+    gam = C.class_algebra(i)
     cc = conjugacy_classes(C.group)
     return ObstructionResult(
         class_index=i,
         representative=int(cc.representatives[i]),
-        gamma=alg.cocycle,
-        vanishes=1 in irrep_profile(alg).dimensions)
+        gamma=gam,
+        vanishes=1 in irrep_profile(gam).dimensions)
 
 
 def lift_count(C: PointedCategory, spec: CentralObjectSpec) -> int:
@@ -160,14 +160,16 @@ def lift_count(C: PointedCategory, spec: CentralObjectSpec) -> int:
 
 
 def kernel_of_characteristic(C: PointedCategory) -> tuple:
-    """Invariant factors of Hom(G, Z/N), the characters of the grading group.
+    """Invariant factors of Hom(G, K^x), the characters of the grading group.
 
+    Every character takes values in the exp(G)-th roots of unity, so
+    Hom(G, K^x) = Hom(G, Z/N) at N = exp(G), whatever omega's modulus.
     A character is a 1-cochain phi with delta(phi) = 0: it solves the
     rows of `_tree_rows` for f = 0 (Holt, J. Symbolic Comput. 1, 1985, in
     degree 1).  Over each p^k exactly dividing N, a pivot p^v of those
     rows leaves a summand Z/p^v and a free column a summand Z/p^k.
     """
-    N = C.modulus
+    N = C.group.exponent()
     _, rows = _tree_rows(Cochain.zero(C.group, 2, N))
     # the unknowns phi(s); the constants are 0, so no echelon fails
     u = rows.shape[1] - 1

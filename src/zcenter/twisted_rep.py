@@ -1,10 +1,12 @@
 """Twisted group algebras and their irreducible representation profiles.
 
 The algebra K^gamma(G) has basis u_g with u_g u_h = zeta^{gamma(g,h)} u_{gh}
-for a 2-cocycle gamma mod N.  Everything downstream needs only the
-Wedderburn data: how many irreducibles there are and their dimensions.
-`irrep_profile` computes it once per algebra, by one of two exact routes
-chosen by whether G is abelian (the tests cross-check the two):
+for a 2-cocycle gamma mod N.  The algebra is its cocycle, so each function
+here takes gamma, a degree-2 `Cochain`, and reads G as gamma's group.
+Everything downstream needs only the Wedderburn data: how many
+irreducibles there are and their dimensions.  `irrep_profile` computes
+it by one of two exact routes chosen by whether G is abelian (the tests
+cross-check the two):
 
   * abelian fast path: the regular elements, decided at the generators,
     form a subgroup R; all |R| irreducibles have dimension sqrt(|G|/|R|);
@@ -14,7 +16,8 @@ chosen by whether G is abelian (the tests cross-check the two):
     the orthogonality relation of projective characters turns each into
     a degree (Karpilovsky, Projective Representations of Finite Groups,
     1985; Dixon, Numer. Math. 10, 1967).  Ordinary character degrees are
-    the case gamma = 0.
+    the case gamma = 0.  Each of its profiles is computed once per group
+    and cocycle values, and kept in the group's cache.
 
 No floating point anywhere; eigenvalue work happens in F_p with
 p = 1 mod N * exponent and p > 2 sqrt(order), which pins degrees uniquely.
@@ -34,7 +37,6 @@ from .group_core import (FiniteGroup, _prime_factors, _short_generators,
 from .snf import _row_basis_mod_p
 
 __all__ = [
-    "TwistedGroupAlgebra",
     "IrrepProfile",
     "regular_classes",
     "irrep_profile",
@@ -44,28 +46,6 @@ __all__ = [
 # The one size bound of the class-algebra path: p < 2^20 keeps every sum
 # of up to MAX_TABLE_ORDER products of two residues inside int64.
 PRIME_LIMIT = 2 ** 20
-
-
-class TwistedGroupAlgebra:
-    """K^gamma(G) for a normalized 2-cocycle gamma with values mod N.
-
-    A cocycle already holding its verdict, as each class's gamma from
-    `cohomology._gamma` holds omega's, is not swept again."""
-
-    def __init__(self, group: FiniteGroup, cocycle: Cochain):
-        if cocycle.degree != 2:
-            raise ValueError("twisting cocycle must have degree 2")
-        if cocycle.group is not group:
-            raise ValueError("cocycle is defined on a different group")
-        _require_cocycle(cocycle, "twisting cochain")
-        self.group = group
-        self.cocycle = cocycle
-        self.modulus = cocycle.modulus
-        self._profile = None
-
-    def __repr__(self):
-        return (f"TwistedGroupAlgebra({self.group.label}, "
-                f"N={self.modulus})")
 
 
 @dataclass(frozen=True)
@@ -91,16 +71,16 @@ def _regular_element_mask(G: FiniteGroup, gam: np.ndarray,
             | (table[elements] != table[:, elements].T)).all(axis=1)
 
 
-def regular_classes(T: TwistedGroupAlgebra) -> set:
+def regular_classes(gam: Cochain) -> set:
     """Class indices whose elements are gamma-regular."""
-    reps = conjugacy_classes(T.group).representatives
-    mask = _regular_element_mask(T.group, T.cocycle.dense, reps)
+    reps = conjugacy_classes(gam.group).representatives
+    mask = _regular_element_mask(gam.group, gam.dense, reps)
     return {int(i) for i in np.nonzero(mask)[0]}
 
 
 # -- abelian fast path -------------------------------------------------
 
-def _abelian_profile(T: TwistedGroupAlgebra) -> IrrepProfile:
+def _abelian_profile(gam: Cochain) -> IrrepProfile:
     """All irreducibles of K^gamma(G), G abelian, share one dimension.
 
     beta(x, y) = gamma(x, y) - gamma(y, x) is a bicharacter, so x is
@@ -108,8 +88,8 @@ def _abelian_profile(T: TwistedGroupAlgebra) -> IrrepProfile:
     subgroup R of square index d^2, and the algebra has |R|
     irreducibles, each of dimension d (Karpilovsky 1985).
     """
-    G, gam, S = T.group, T.cocycle.dense, _short_generators(T.group)
-    r = int((gam[:, S] == gam[S].T).all(axis=1).sum())
+    G, W, S = gam.group, gam.dense, _short_generators(gam.group)
+    r = int((W[:, S] == W[S].T).all(axis=1).sum())
     d = math.isqrt(G.order // r)
     if d * d * r != G.order:
         raise AssertionError("regular subgroup does not have square index")
@@ -299,22 +279,32 @@ def ordinary_character_degrees(G: FiniteGroup) -> list:
     return _class_algebra_degrees(G, zero, 1)
 
 
-def _class_algebra_profile(T: TwistedGroupAlgebra) -> IrrepProfile:
-    # zeta_N^gamma = zeta_N'^gamma' with N' = N / gcd(N, gamma's values),
-    # so the smaller modulus gives the same algebra and a smaller prime
-    d = math.gcd(T.modulus, int(np.gcd.reduce(T.cocycle.dense, axis=None)))
-    dims = _class_algebra_degrees(T.group, T.cocycle.dense // d,
-                                  T.modulus // d)
-    return IrrepProfile(dimensions=tuple(dims), method="class-algebra")
+def _class_algebra_profile(gam: Cochain) -> IrrepProfile:
+    """The class-algebra profile, kept in the group's cache under gamma's
+    values: cochain arrays are read-only, so a key cannot go stale."""
+    G, W, N = gam.group, gam.dense, gam.modulus
+    key = ("profile", W.tobytes(), N)
+    if key not in G._cache:
+        # zeta_N^gamma = zeta_N'^gamma' with N' = N / gcd(N, gamma's
+        # values): the same algebra, with a smaller prime
+        d = math.gcd(N, int(np.gcd.reduce(W, axis=None)))
+        dims = _class_algebra_degrees(G, W // d, N // d)
+        G._cache[key] = IrrepProfile(dimensions=tuple(dims),
+                                     method="class-algebra")
+    return G._cache[key]
 
 
-def irrep_profile(T: TwistedGroupAlgebra) -> IrrepProfile:
-    """Wedderburn dimension profile of K^gamma(G), computed once.
+def irrep_profile(gam: Cochain) -> IrrepProfile:
+    """Wedderburn dimension profile of K^gamma(G) for a 2-cocycle gamma
+    on G = gam.group.
 
-    The abelian fast path serves abelian G, the class algebra all other
-    groups.
+    A cocycle already holding its verdict, as each class's gamma from
+    `cohomology._gamma` holds omega's, is not swept again.  The abelian
+    fast path serves abelian G; it is cheaper than a cache key, so it is
+    recomputed on each call.  The class algebra serves all other groups.
     """
-    if T._profile is None:
-        T._profile = (_abelian_profile(T) if T.group.is_abelian()
-                      else _class_algebra_profile(T))
-    return T._profile
+    if gam.degree != 2:
+        raise ValueError("twisting cocycle must have degree 2")
+    _require_cocycle(gam, "twisting cochain")
+    return (_abelian_profile(gam) if gam.group.is_abelian()
+            else _class_algebra_profile(gam))

@@ -19,8 +19,7 @@ from zcenter.group_core import (GroupHom, center, conjugacy_classes,
                                 make_symmetric, parse_group_spec)
 from zcenter.pointed_center import (CentralObjectSpec, PointedCategory,
                                     kernel_of_characteristic, lift_count)
-from zcenter.twisted_rep import (TwistedGroupAlgebra, _abelian_profile,
-                                 _class_algebra_profile)
+from zcenter.twisted_rep import _abelian_profile, _class_algebra_profile
 
 from conftest import pullback, random_cochain, shifted
 from oracles import brute_force_hom_images, oracle_lift_count
@@ -87,8 +86,8 @@ def test_criterion_03_wedderburn_profile_both_paths():
     for n in (2, 3):
         G, omega, z = _cube(n)
         gam = gamma(omega, z)
-        fast = _abelian_profile(TwistedGroupAlgebra(G, gam))
-        dixon = _class_algebra_profile(TwistedGroupAlgebra(G, gam))
+        fast = _abelian_profile(gam)
+        dixon = _class_algebra_profile(gam)
         assert fast.dimensions == (n,) * n
         assert dixon.dimensions == (n,) * n
         assert fast.dimensions == dixon.dimensions

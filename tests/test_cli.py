@@ -363,6 +363,22 @@ def test_center_report_json(capsys):
         "e2_00", "e2_01", "e2_11", "universal_grading"}
 
 
+def test_kernel_is_the_same_at_every_modulus(capsys):
+    """cup:1,1,1:2 and cup:1,1,1:4 on C4xC2 are one associator read at
+    two moduli; e2_11 is Hom(G, K^x) at both, and its order is the
+    identity class's lift count (the linear characters of G)."""
+    e = parse_group_spec("C4xC2").identity
+    for spec in ("cup:1,1,1:2", "cup:1,1,1:4"):
+        payload = run_json(capsys, "center-report", "--group", "C4xC2",
+                           "--cocycle", spec)
+        assert payload["kernel_char"] == {"invariant_factors": [2, 4]}
+        assert payload["e_pages"]["e2_11"]["order"] == 8
+        i = next(o["class"] for o in payload["obstructions"]
+                 if o["representative"] == e)
+        assert payload["lifts"][i]["spec"][i] == 1
+        assert payload["lifts"][i]["count"] == 8
+
+
 def test_center_report_text(capsys):
     code, out, _ = run(capsys, "center-report", "--group", "S3",
                        "--cocycle", "zero")

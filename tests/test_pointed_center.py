@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from zcenter import cohomology, group_core, snf
+from zcenter import cohomology, group_core, snf, twisted_rep
 from zcenter.cohomology import (Cochain, CocycleError, coboundary, cup3,
                                 embed_modulus, gamma, is_coboundary,
                                 is_cocycle)
@@ -22,8 +22,7 @@ from zcenter.pointed_center import (MAX_LIFT_WORK, CentralObjectSpec,
                                     e2_00_basis, e_page_report,
                                     kernel_of_characteristic, lift_count,
                                     obstruction, report_to_json)
-from zcenter.twisted_rep import (TwistedGroupAlgebra, irrep_profile,
-                                 regular_classes)
+from zcenter.twisted_rep import irrep_profile, regular_classes
 
 from conftest import (make_dihedral4, pullback, random_cochain, shifted,
                       sign_cocycle)
@@ -57,10 +56,10 @@ def test_class_algebra_structure(S3):
         g = int(cc.representatives[i])
         assert alg.group.order == len(centralizer(S3, [g]))
         assert alg.modulus == 2
-        assert alg.cocycle.degree == 2
+        assert alg.degree == 2
     # identity class: gamma at e is identically zero
     eclass = int(cc.class_of[S3.identity])
-    assert C.class_algebra(eclass).cocycle.is_zero()
+    assert C.class_algebra(eclass).is_zero()
 
 
 def test_class_algebra_cached(S3):
@@ -216,6 +215,45 @@ def test_report_reverifies_no_gamma_and_no_centralizer(monkeypatch):
     assert report.simple_central_objects > 0
 
 
+def test_class_algebras_computed_once_per_group_and_gamma(monkeypatch):
+    """A class-algebra profile is computed once per group object and
+    gamma values.  D4xC2^4 (80 classes, 32 central) has one algebra when
+    untwisted and 8 distinct central gammas with cup:0,1,2 of its C2^4
+    factor at N = 4 pulled back; its non-central centralizers are
+    abelian.  On S5 the sign pullback needs 3: the centralizers S5,
+    C2xS3 and D4, the rest being abelian."""
+    calls = []
+    real = twisted_rep._class_algebra_degrees
+
+    def counting(G, gam, N):
+        calls.append(N)
+        return real(G, gam, N)
+
+    monkeypatch.setattr(twisted_rep, "_class_algebra_degrees", counting)
+    C2_4 = parse_group_spec("C2xC2xC2xC2")
+    # D4 indexed a + 4b with (a, b)(c, e) = (a + (-1)^b c, b + e), as
+    # tools/budgets.py builds the group of its D4xC2^4 case
+    zero = Cochain.zero(direct_product(make_dihedral4(), C2_4), 3, 4)
+    D = direct_product(make_dihedral4(), C2_4)
+    cup = pullback(cup3(C2_4, 0, 1, 2, 4), D, np.arange(D.order) % 16)
+    for omega, want in ((zero, 1), (cup, 8),
+                        (sign_cocycle(make_symmetric(5)), 3)):
+        calls.clear()
+        report = center_report(PointedCategory(omega.group, omega))
+        assert len(calls) == want, omega.group.label
+        assert report.simple_central_objects > 0
+    # distinct cochains with equal values share one profile; equal
+    # values at another modulus are another algebra, with their own
+    S3 = make_symmetric(3)
+    calls.clear()
+    a, b = Cochain.zero(S3, 2, 2), Cochain.zero(S3, 2, 2)
+    assert a is not b and irrep_profile(a) is irrep_profile(b)
+    c = Cochain.zero(S3, 2, 4)
+    assert irrep_profile(c) is not irrep_profile(a)
+    assert irrep_profile(c) == irrep_profile(a)
+    assert len(calls) == 2
+
+
 def test_inherited_gamma_verdicts_are_true(S4, S5, A4):
     """Each class algebra's gamma takes omega's verdict unswept; a fresh
     copy of it, swept in full, is a cocycle.  The categories: the cup
@@ -237,7 +275,7 @@ def test_inherited_gamma_verdicts_are_true(S4, S5, A4):
         for w in (omega, shifted(omega, rng)):
             C = PointedCategory(w.group, w)
             for i in range(conjugacy_classes(w.group).count):
-                gam = C.class_algebra(i).cocycle
+                gam = C.class_algebra(i)
                 assert gam._verdict is w._verdict
                 fresh = Cochain(gam.group, 2, gam.modulus, dense=gam.dense)
                 assert is_cocycle(fresh).is_cocycle, (w.group.label, i)
@@ -351,7 +389,8 @@ def test_kernel_values(C3cubed, S3, S5, C2xC4, C3, C6, C2cubed):
     assert kernel_of_characteristic(cat(S5, N=60)) == (2,)
     assert kernel_of_characteristic(cat(S3, N=6)) == (2,)
     assert kernel_of_characteristic(cat(C2xC4, N=8)) == (2, 4)
-    assert kernel_of_characteristic(cat(C3, N=2)) == ()
+    # characters take values in K^x, not in Z/N: C3's three survive N = 2
+    assert kernel_of_characteristic(cat(C3, N=2)) == (3,)
     # at N = exp(G) on an abelian G, its invariant factors
     for G, factors in ((C6, (6,)), (C2xC4, (2, 4)), (C2cubed, (2, 2, 2)),
                        (parse_group_spec("C1"), ()),
@@ -363,15 +402,16 @@ def test_kernel_values(C3cubed, S3, S5, C2xC4, C3, C6, C2cubed):
 
 
 def test_kernel_is_ab_when_modulus_is_exponent(test_universe):
-    """At N = exp(G), Hom(G, Z/N) is isomorphic to G / [G, G], whose
+    """Hom(G, K^x) = Hom(G, Z/exp(G)) is isomorphic to G / [G, G], whose
     order is the number of linear characters: the 1s among the
-    dimensions of the irreducibles of the untwisted group algebra."""
+    dimensions of the irreducibles of the untwisted group algebra.  It
+    is the same at every modulus of omega."""
     for G in test_universe:
-        order = math.prod(kernel_of_characteristic(cat(G, N=G.exponent())))
-        linear = irrep_profile(
-            TwistedGroupAlgebra(G, Cochain.zero(G, 2, 2))).dimensions
-        assert order == linear.count(1)
-        assert G.order % order == 0
+        linear = irrep_profile(Cochain.zero(G, 2, 2)).dimensions
+        for N in (2, G.exponent(), 2 * G.exponent()):
+            order = math.prod(kernel_of_characteristic(cat(G, N=N)))
+            assert order == linear.count(1), (G.label, N)
+            assert G.order % order == 0
 
 
 def test_kernel_counts_homs_to_every_cyclic_quotient(test_universe, S3, S4,

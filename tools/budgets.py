@@ -84,12 +84,13 @@ CASES = [
     (["center-report", "--group", "C4xC4xC8", "--cocycle", "cup:0,1,2:8",
       "--json"], 120, None, 0, '"simple_central_objects": 1600'),
     # the non-abelian report at the degree-3 order bound: D4xC2^4, read
-    # from a group file, has 80 classes, each class algebra on a
-    # centralizer of order 64 or 128 through the class-algebra path;
-    # untwisted it has 22 * 256 = 5632 simples (4.2-5.2 s at 61-62 MB on
-    # a 2-core VM)
+    # from a group file, has 80 classes; the 32 central ones share G and,
+    # untwisted, one gamma, so one class algebra of order 128 serves them
+    # all, and the other 48 centralizers (order 64) are abelian.  It has
+    # 22 * 256 = 5632 simples (0.6 s at 62 MB on a 2-core VM; 4.2-5.2 s
+    # when each central class computed its own algebra)
     (["center-report", "--group", "file:{dir}/D4xC2_4.json", "--cocycle",
-      "zero", "--json"], 120, 120, 0, '"simple_central_objects": 5632'),
+      "zero", "--json"], 3, 120, 0, '"simple_central_objects": 5632'),
     # lifts: every class algebra of C2^7 with omega = 0 has 128
     # irreducibles, so multiplicity 2^17 is exactly MAX_LIFT_WORK = 2^24
     # big-integer additions; one more is refused, naming the bound
