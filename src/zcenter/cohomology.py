@@ -22,8 +22,7 @@ from itertools import chain
 import numpy as np
 
 from .group_core import (BoundError, FiniteGroup, _bfs_layers,
-                         _failure_certificate, _short_generators, center,
-                         centralizer, subgroup)
+                         _failure_certificate, _short_generators, center)
 from .snf import check_modulus, solve_modular_linear
 
 __all__ = [
@@ -383,16 +382,15 @@ def embed_modulus(f: Cochain, M: int) -> Cochain:
     return Cochain(f.group, f.degree, M, dense=f.dense * scale)
 
 
-def _gamma(omega: Cochain, g: int) -> Cochain:
-    """gamma_g on the centralizer C(g), G itself for a central g.
+def _gamma(omega: Cochain, g: int, H: FiniteGroup, embed) -> Cochain:
+    """gamma_g on the centralizer C(g) = H, embedded in G by embed.
 
     gamma_g(x, y) = omega(x,y,g) - omega(x,g,y) + omega(g,x,y) mod N, cut
     from three planes of omega, is a 2-cocycle on C(g) whenever omega is a
-    3-cocycle (Dijkgraaf, Pasquier & Roche 1990): it takes omega's verdict.
+    3-cocycle (Dijkgraaf, Pasquier & Roche 1990): it takes the verdict
+    that each caller has already required of omega.
     """
-    _require_cocycle(omega, "omega")
-    G, W = omega.group, omega.dense
-    H, embed = subgroup(G, centralizer(G, [g]))
+    W = omega.dense
     planes = W[:, :, g] - W[:, g, :] + W[g]
     gam = Cochain(H, 2, omega.modulus, dense=planes[np.ix_(embed, embed)])
     gam._verdict = omega._verdict
@@ -411,7 +409,7 @@ def gamma(omega: Cochain, z: int) -> Cochain:
     G._check_index(z)
     if z not in center(G):
         raise ValueError(f"element {z} is not central in {G.label}")
-    return _gamma(omega, z)
+    return _gamma(omega, z, G, np.arange(G.order))
 
 
 # -- serialization -----------------------------------------------------

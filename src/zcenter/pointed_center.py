@@ -13,14 +13,14 @@ twisted centralizer algebra K^{gamma_i} C_G(g_i), where gamma_i is the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cohomology import Cochain, _gamma, _require_cocycle, _tree_rows
-from .group_core import FiniteGroup, conjugacy_classes
+from .group_core import FiniteGroup, centralizer, conjugacy_classes, subgroup
 from .snf import _prime_power_echelons
-from .twisted_rep import irrep_profile
+from .twisted_rep import IrrepProfile, irrep_profile
 
 __all__ = [
     "PointedCategory",
@@ -28,7 +28,6 @@ __all__ = [
     "ObstructionResult",
     "CenterReport",
     "e2_00_basis",
-    "e_page_report",
     "center_report",
     "obstruction",
     "lift_count",
@@ -42,11 +41,19 @@ __all__ = [
 MAX_LIFT_WORK = 2 ** 24
 
 
+def _check_class_index(i: int, count: int) -> None:
+    if not 0 <= i < count:
+        raise ValueError(f"class index {i} out of range (0..{count - 1})")
+
+
 class PointedCategory:
     """A finite group together with a degree-3 associator cocycle.
 
     The cocycle identity is checked once, here; each class's gamma
     (`cohomology._gamma`) takes omega's verdict and is never re-verified.
+    The category owns the per-class profiles, the one source of the
+    obstructions, lift counts and simple count: it keeps one subgroup per
+    distinct centralizer and one profile per centralizer and gamma values.
     """
 
     def __init__(self, group: FiniteGroup, omega: Cochain):
@@ -58,19 +65,29 @@ class PointedCategory:
         self.group = group
         self.omega = omega
         self.modulus = omega.modulus
-        self._algebras = {}
+        self._centralizers = {}  # element tuple -> (subgroup, embedding)
+        self._profiles = {}  # class index, or (subgroup, gamma bytes)
 
     def class_algebra(self, i: int) -> Cochain:
         """gamma_i on C_G(g_i) for the i-th conjugacy class: the 2-cocycle
         that determines the twisted algebra K^{gamma_i} C_G(g_i)."""
-        if i in self._algebras:
-            return self._algebras[i]
         cc = conjugacy_classes(self.group)
-        if not 0 <= i < cc.count:
-            raise ValueError(f"class index {i} out of range (0..{cc.count - 1})")
-        gam = _gamma(self.omega, int(cc.representatives[i]))
-        self._algebras[i] = gam
-        return gam
+        _check_class_index(i, cc.count)
+        g = int(cc.representatives[i])
+        elements = centralizer(self.group, [g])
+        if elements not in self._centralizers:
+            self._centralizers[elements] = subgroup(self.group, elements)
+        return _gamma(self.omega, g, *self._centralizers[elements])
+
+    def profile(self, i: int) -> IrrepProfile:
+        """Wedderburn profile of K^{gamma_i} C_G(g_i), computed once."""
+        if i not in self._profiles:
+            gam = self.class_algebra(i)
+            key = (gam.group, gam.dense.tobytes())
+            if key not in self._profiles:
+                self._profiles[key] = irrep_profile(gam)
+            self._profiles[i] = self._profiles[key]
+        return self._profiles[i]
 
     def __repr__(self):
         return f"PointedCategory({self.group.label}, N={self.modulus})"
@@ -84,6 +101,7 @@ class CentralObjectSpec:
 
     @classmethod
     def unit(cls, class_count: int, i: int, multiplicity: int = 1):
+        _check_class_index(i, class_count)
         m = [0] * class_count
         m[i] = multiplicity
         return cls(tuple(m))
@@ -96,7 +114,6 @@ class CentralObjectSpec:
 class ObstructionResult:
     class_index: int
     representative: int
-    gamma: Cochain
     vanishes: bool
 
 
@@ -107,8 +124,8 @@ class CenterReport:
     e_pages: dict
     obstructions: list
     kernel_invariant_factors: tuple
-    lifts: list = field(default_factory=list)
-    simple_central_objects: int | None = None
+    lifts: list
+    simple_central_objects: int
 
 
 def e2_00_basis(C: PointedCategory):
@@ -129,13 +146,12 @@ def obstruction(C: PointedCategory, i: int) -> ObstructionResult:
     delta(phi) = gamma; conversely such a phi is a 1-dim rep
     (Karpilovsky, Projective Representations of Finite Groups, 1985).
     """
-    gam = C.class_algebra(i)
+    vanishes = 1 in C.profile(i).dimensions
     cc = conjugacy_classes(C.group)
     return ObstructionResult(
         class_index=i,
         representative=int(cc.representatives[i]),
-        gamma=gam,
-        vanishes=1 in irrep_profile(gam).dimensions)
+        vanishes=vanishes)
 
 
 def lift_count(C: PointedCategory, spec: CentralObjectSpec) -> int:
@@ -149,8 +165,7 @@ def lift_count(C: PointedCategory, spec: CentralObjectSpec) -> int:
             f"spec length {len(mult)} != class count {cc.count}")
     if min(mult, default=0) < 0:
         raise ValueError("multiplicities must be non-negative")
-    profiles = [(a, irrep_profile(C.class_algebra(i)))
-                for i, a in enumerate(mult) if a]
+    profiles = [(a, C.profile(i)) for i, a in enumerate(mult) if a]
     work = sum(a * len(prof.dimensions) for a, prof in profiles)
     if work > MAX_LIFT_WORK:
         raise ValueError(
@@ -186,15 +201,17 @@ def kernel_of_characteristic(C: PointedCategory) -> tuple:
 def count_simple_central_objects(C: PointedCategory) -> int:
     """Simple lifts: one class with one irreducible each."""
     cc = conjugacy_classes(C.group)
-    return sum(len(irrep_profile(C.class_algebra(i)).dimensions)
-               for i in range(cc.count))
+    return sum(len(C.profile(i).dimensions) for i in range(cc.count))
 
 
-def _e_pages(C: PointedCategory, kernel: tuple) -> dict:
+def center_report(C: PointedCategory, specs=None) -> CenterReport:
+    """Page terms, per-class obstructions, kernel, lift table and simple
+    count; the default lift table covers the class-sum basis."""
     G = C.group
     cc = conjugacy_classes(G)
     n = G.order
-    return {
+    kernel = kernel_of_characteristic(C)
+    e_pages = {
         "e1_00": {"descriptor":
                   "free commutative monoid on the simple objects",
                   "rank": n},
@@ -213,28 +230,16 @@ def _e_pages(C: PointedCategory, kernel: tuple) -> dict:
                   "order": math.prod(kernel)},
         "universal_grading": "G",
     }
-
-
-def e_page_report(C: PointedCategory) -> CenterReport:
-    """Page terms, per-class obstructions, kernel; no lift table."""
-    cc = conjugacy_classes(C.group)
-    kernel = kernel_of_characteristic(C)
-    return CenterReport(
-        group_label=C.group.label or "?",
-        modulus=C.modulus,
-        e_pages=_e_pages(C, kernel),
-        obstructions=[obstruction(C, i) for i in range(cc.count)],
-        kernel_invariant_factors=kernel)
-
-
-def center_report(C: PointedCategory, specs=None) -> CenterReport:
-    """Full report; default lift table covers the class-sum basis."""
-    report = e_page_report(C)
     if specs is None:
         specs = e2_00_basis(C)
-    report.lifts = [(spec, lift_count(C, spec)) for spec in specs]
-    report.simple_central_objects = count_simple_central_objects(C)
-    return report
+    return CenterReport(
+        group_label=G.label or "?",
+        modulus=C.modulus,
+        e_pages=e_pages,
+        obstructions=[obstruction(C, i) for i in range(cc.count)],
+        kernel_invariant_factors=kernel,
+        lifts=[(spec, lift_count(C, spec)) for spec in specs],
+        simple_central_objects=count_simple_central_objects(C))
 
 
 def _obstruction_json(o: ObstructionResult) -> dict:

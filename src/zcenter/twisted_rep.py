@@ -16,8 +16,8 @@ cross-check the two):
     the orthogonality relation of projective characters turns each into
     a degree (Karpilovsky, Projective Representations of Finite Groups,
     1985; Dixon, Numer. Math. 10, 1967).  Ordinary character degrees are
-    the case gamma = 0.  Each of its profiles is computed once per group
-    and cocycle values, and kept in the group's cache.
+    the case gamma = 0.  Nothing is memoized: `pointed_center`'s
+    category keeps each profile it reads, one per class.
 
 No floating point anywhere; eigenvalue work happens in F_p with
 p = 1 mod N * exponent and p > 2 sqrt(order), which pins degrees uniquely.
@@ -280,18 +280,13 @@ def ordinary_character_degrees(G: FiniteGroup) -> list:
 
 
 def _class_algebra_profile(gam: Cochain) -> IrrepProfile:
-    """The class-algebra profile, kept in the group's cache under gamma's
-    values: cochain arrays are read-only, so a key cannot go stale."""
+    """The profile from the twisted class algebra, for any G."""
     G, W, N = gam.group, gam.dense, gam.modulus
-    key = ("profile", W.tobytes(), N)
-    if key not in G._cache:
-        # zeta_N^gamma = zeta_N'^gamma' with N' = N / gcd(N, gamma's
-        # values): the same algebra, with a smaller prime
-        d = math.gcd(N, int(np.gcd.reduce(W, axis=None)))
-        dims = _class_algebra_degrees(G, W // d, N // d)
-        G._cache[key] = IrrepProfile(dimensions=tuple(dims),
-                                     method="class-algebra")
-    return G._cache[key]
+    # zeta_N^gamma = zeta_N'^gamma' with N' = N / gcd(N, gamma's values):
+    # the same algebra, with a smaller prime
+    d = math.gcd(N, int(np.gcd.reduce(W, axis=None)))
+    dims = _class_algebra_degrees(G, W // d, N // d)
+    return IrrepProfile(dimensions=tuple(dims), method="class-algebra")
 
 
 def irrep_profile(gam: Cochain) -> IrrepProfile:
@@ -300,8 +295,8 @@ def irrep_profile(gam: Cochain) -> IrrepProfile:
 
     A cocycle already holding its verdict, as each class's gamma from
     `cohomology._gamma` holds omega's, is not swept again.  The abelian
-    fast path serves abelian G; it is cheaper than a cache key, so it is
-    recomputed on each call.  The class algebra serves all other groups.
+    fast path serves abelian G and the class algebra all other groups;
+    each call computes the profile afresh.
     """
     if gam.degree != 2:
         raise ValueError("twisting cocycle must have degree 2")

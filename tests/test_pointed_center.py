@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from zcenter import cohomology, group_core, snf, twisted_rep
+from zcenter import cohomology, group_core, pointed_center, snf, twisted_rep
 from zcenter.cohomology import (Cochain, CocycleError, coboundary, cup3,
                                 embed_modulus, gamma, is_coboundary,
                                 is_cocycle)
@@ -19,9 +19,8 @@ from zcenter.group_core import (center, centralizer, conjugacy_classes,
 from zcenter.pointed_center import (MAX_LIFT_WORK, CentralObjectSpec,
                                     PointedCategory, center_report,
                                     count_simple_central_objects,
-                                    e2_00_basis, e_page_report,
-                                    kernel_of_characteristic, lift_count,
-                                    obstruction, report_to_json)
+                                    e2_00_basis, kernel_of_characteristic,
+                                    lift_count, obstruction, report_to_json)
 from zcenter.twisted_rep import irrep_profile, regular_classes
 
 from conftest import (make_dihedral4, pullback, random_cochain, shifted,
@@ -63,8 +62,13 @@ def test_class_algebra_structure(S3):
 
 
 def test_class_algebra_cached(S3):
+    """The category keeps each centralizer subgroup and each profile;
+    gamma itself is cut afresh on the kept subgroup."""
     C = cat(S3)
-    assert C.class_algebra(0) is C.class_algebra(0)
+    a, b = C.class_algebra(1), C.class_algebra(1)
+    assert a is not b and a.group is b.group
+    assert np.array_equal(a.dense, b.dense)
+    assert C.profile(1) is C.profile(1)
     with pytest.raises(ValueError, match=r"class index 3 out of range"):
         C.class_algebra(3)
 
@@ -82,6 +86,14 @@ def test_spec_helpers():
     s = CentralObjectSpec.unit(5, 2, 3)
     assert s.multiplicities == (0, 0, 3, 0, 0)
     assert s.support() == [2]
+
+
+def test_unit_spec_refuses_class_index_out_of_range():
+    """A negative index does not wrap to a class from the end."""
+    for i in (-1, 3, 5):
+        with pytest.raises(ValueError,
+                           match=rf"class index {i} out of range \(0\.\.2\)"):
+            CentralObjectSpec.unit(3, i)
 
 
 # -- obstructions ------------------------------------------------------
@@ -109,10 +121,11 @@ def test_obstruction_uses_full_unit_group(C2):
     """gamma(1,1) = zeta_2 at the nontrivial class is killed inside mu_4."""
     C = cat(C2, cup3(C2, 0, 0, 0, 2))
     res = obstruction(C, 1)
+    gam = C.class_algebra(1)
     assert res.vanishes
-    assert res.gamma.modulus == 2
-    assert not res.gamma.is_zero()
-    v = is_coboundary(embed_modulus(res.gamma, 4))
+    assert gam.modulus == 2
+    assert not gam.is_zero()
+    v = is_coboundary(embed_modulus(gam, 4))
     assert v.is_coboundary and v.witness.modulus == 4
 
 
@@ -145,7 +158,7 @@ def test_vanishing_iff_unit_lift(C2, C2cubed, C3cubed, S3, D4, Q8):
             H, embed = subgroup(G, centralizer(G, [g]))
             gam = gamma(C.omega.restrict(H, embed),
                         int((embed == g).nonzero()[0][0]))
-            assert np.array_equal(gam.dense, res.gamma.dense)
+            assert np.array_equal(gam.dense, C.class_algebra(i).dense)
             enlarged = embed_modulus(gam, C.modulus * H.exponent())
             assert res.vanishes == is_coboundary(enlarged).is_coboundary
 
@@ -215,8 +228,21 @@ def test_report_reverifies_no_gamma_and_no_centralizer(monkeypatch):
     assert report.simple_central_objects > 0
 
 
+def d4xc2_4():
+    """D4xC2^4 as tools/budgets.py builds the group of its D4xC2^4 case:
+    D4 indexed a + 4b with (a, b)(c, e) = (a + (-1)^b c, b + e)."""
+    return direct_product(make_dihedral4(), parse_group_spec("C2xC2xC2xC2"))
+
+
+def d4xc2_4_cup():
+    """cup:0,1,2 of D4xC2^4's C2^4 factor at N = 4, pulled back."""
+    D = d4xc2_4()
+    return pullback(cup3(parse_group_spec("C2xC2xC2xC2"), 0, 1, 2, 4),
+                    D, np.arange(D.order) % 16)
+
+
 def test_class_algebras_computed_once_per_group_and_gamma(monkeypatch):
-    """A class-algebra profile is computed once per group object and
+    """A report computes a class-algebra profile once per centralizer and
     gamma values.  D4xC2^4 (80 classes, 32 central) has one algebra when
     untwisted and 8 distinct central gammas with cup:0,1,2 of its C2^4
     factor at N = 4 pulled back; its non-central centralizers are
@@ -230,28 +256,90 @@ def test_class_algebras_computed_once_per_group_and_gamma(monkeypatch):
         return real(G, gam, N)
 
     monkeypatch.setattr(twisted_rep, "_class_algebra_degrees", counting)
-    C2_4 = parse_group_spec("C2xC2xC2xC2")
-    # D4 indexed a + 4b with (a, b)(c, e) = (a + (-1)^b c, b + e), as
-    # tools/budgets.py builds the group of its D4xC2^4 case
-    zero = Cochain.zero(direct_product(make_dihedral4(), C2_4), 3, 4)
-    D = direct_product(make_dihedral4(), C2_4)
-    cup = pullback(cup3(C2_4, 0, 1, 2, 4), D, np.arange(D.order) % 16)
-    for omega, want in ((zero, 1), (cup, 8),
+    zero = Cochain.zero(d4xc2_4(), 3, 4)
+    for omega, want in ((zero, 1), (d4xc2_4_cup(), 8),
                         (sign_cocycle(make_symmetric(5)), 3)):
         calls.clear()
         report = center_report(PointedCategory(omega.group, omega))
         assert len(calls) == want, omega.group.label
         assert report.simple_central_objects > 0
-    # distinct cochains with equal values share one profile; equal
-    # values at another modulus are another algebra, with their own
-    S3 = make_symmetric(3)
-    calls.clear()
-    a, b = Cochain.zero(S3, 2, 2), Cochain.zero(S3, 2, 2)
-    assert a is not b and irrep_profile(a) is irrep_profile(b)
-    c = Cochain.zero(S3, 2, 4)
-    assert irrep_profile(c) is not irrep_profile(a)
-    assert irrep_profile(c) == irrep_profile(a)
-    assert len(calls) == 2
+
+
+def test_category_shares_subgroups_and_profiles_exactly(monkeypatch):
+    """Within one category each distinct centralizer is built once and
+    each distinct (centralizer, gamma) profile is computed once.  The
+    untwisted D4xC2^4 report has 3 non-central centralizers and 4
+    distinct algebras; S4xC2^2 has 2 non-abelian algebras (S4xC2^2 and
+    the D4xC2^2 of its 4 classes (double transposition, c)); C2^7 with
+    cup:0,1,2 has 8 distinct gammas on its one centralizer, G.  Nothing
+    derived from a cochain is left in a group's cache."""
+    built, degrees, profiles = [], [], []
+    real_init = group_core.FiniteGroup.__init__
+    real_degrees = twisted_rep._class_algebra_degrees
+    real_profile = pointed_center.irrep_profile
+
+    def recording_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    def counting_degrees(G, gam, N):
+        degrees.append(N)
+        return real_degrees(G, gam, N)
+
+    def counting_profile(gam):
+        profiles.append(gam)
+        return real_profile(gam)
+
+    monkeypatch.setattr(group_core.FiniteGroup, "__init__", recording_init)
+    monkeypatch.setattr(twisted_rep, "_class_algebra_degrees",
+                        counting_degrees)
+    monkeypatch.setattr(pointed_center, "irrep_profile", counting_profile)
+    C2_7 = parse_group_spec("C2xC2xC2xC2xC2xC2xC2")
+    S4xC2_2 = direct_product(make_symmetric(4), parse_group_spec("C2xC2"))
+    cases = [(cat(d4xc2_4(), N=4), 3, 4, 1),
+             (cat(S4xC2_2), 4, 5, 2),
+             (cat(C2_7, cup3(C2_7, 0, 1, 2, 2)), 0, 8, 0)]
+    for C, want_built, want_profiles, want_degrees in cases:
+        for seen in (built, degrees, profiles):
+            seen.clear()
+        report = center_report(C)
+        label = C.group.label
+        assert len(built) == want_built, label
+        assert len(profiles) == want_profiles, label
+        assert len(degrees) == want_degrees, label
+        assert report.simple_central_objects > 0
+        cc = conjugacy_classes(C.group)
+        algebras = [C.class_algebra(i) for i in range(cc.count)]
+        shared = [(i, j) for i in range(cc.count) for j in range(i)
+                  if algebras[i].group is algebras[j].group
+                  and np.array_equal(algebras[i].dense, algebras[j].dense)]
+        assert shared, label
+        for i, j in shared:
+            assert C.profile(i) is C.profile(j)
+        for H in {id(a.group): a.group for a in algebras}.values():
+            assert all(isinstance(key, str) for key in H._cache), label
+
+
+@pytest.mark.parametrize("name", ["C2^5 cup", "S5 sign", "D4xC2^4 cup"])
+def test_report_is_invariant_under_shifts_and_larger_moduli(name):
+    """ROADMAP relations 1 and 5: report_to_json is unchanged when omega
+    gains the coboundary of a random normalized 2-cochain, and, but for
+    "modulus", when omega is embedded at modulus 2N."""
+    if name == "C2^5 cup":
+        G = parse_group_spec("C2xC2xC2xC2xC2")
+        omega = cup3(G, 0, 1, 2, 2)
+    elif name == "S5 sign":
+        omega = sign_cocycle(make_symmetric(5))
+    else:
+        omega = d4xc2_4_cup()
+    G = omega.group
+    ref = report_to_json(center_report(cat(G, omega)))
+    rng = np.random.default_rng(32)
+    assert report_to_json(center_report(cat(G, shifted(omega, rng)))) == ref
+    wide = embed_modulus(omega, 2 * omega.modulus)
+    got = report_to_json(center_report(cat(G, wide)))
+    assert got.pop("modulus") == 2 * ref.pop("modulus")
+    assert got == ref
 
 
 def test_inherited_gamma_verdicts_are_true(S4, S5, A4):
@@ -504,10 +592,10 @@ def test_shift_invariance_of_everything(C2cubed, S3):
 # -- reports -----------------------------------------------------------
 
 def test_e_page_report_structure(S3):
-    rep = e_page_report(cat(S3, N=6))
+    rep = center_report(cat(S3, N=6), specs=[])
     assert rep.group_label == "S3"
     assert rep.modulus == 6
-    assert rep.lifts == [] and rep.simple_central_objects is None
+    assert rep.lifts == [] and rep.simple_central_objects == 8
     pages = rep.e_pages
     assert set(pages) == {"e1_00", "e1_01", "e1_11", "e1_21", "e2_00",
                           "e2_01", "e2_11", "universal_grading"}

@@ -251,9 +251,15 @@ def test_schur_cover_projective_degrees(q, special, dims):
         assert irrep_profile(shifted).dimensions == dims
 
 
-def test_profile_cached(S3):
-    T = untwisted(S3)
-    assert irrep_profile(T) is irrep_profile(T)
+def test_profile_is_not_kept_on_the_group():
+    """irrep_profile is a pure function: each call computes an equal
+    profile afresh and leaves only the group's own invariants in its
+    cache (`PointedCategory` keeps the profiles it reads)."""
+    G = make_symmetric(3)
+    T = untwisted(G)
+    assert irrep_profile(T) == irrep_profile(T)
+    assert irrep_profile(T) is not irrep_profile(T)
+    assert all(isinstance(key, str) for key in G._cache)
 
 
 def test_shift_invariance(C2cubed, C3cubed):

@@ -86,11 +86,18 @@ CASES = [
     # the non-abelian report at the degree-3 order bound: D4xC2^4, read
     # from a group file, has 80 classes; the 32 central ones share G and,
     # untwisted, one gamma, so one class algebra of order 128 serves them
-    # all, and the other 48 centralizers (order 64) are abelian.  It has
-    # 22 * 256 = 5632 simples (0.6 s at 62 MB on a 2-core VM; 4.2-5.2 s
-    # when each central class computed its own algebra)
+    # all.  The other 48 classes share 3 abelian centralizers (order 64),
+    # each built once per report, so the report computes 4 profiles.  It
+    # has 22 * 256 = 5632 simples (0.6 s at 62 MB on a 2-core VM; 4.2-5.2 s
+    # when each central class computed its own algebra).  D4xC2_4_cup is
+    # cup:0,1,2 of the C2^4 factor at N = 4 pulled back (262,144 entries,
+    # 4.6 MB): its central classes hold 8 distinct gammas, so 8 class
+    # algebras of order 128, and 1936 simples (0.6-1.0 s at about 90 MB)
     (["center-report", "--group", "file:{dir}/D4xC2_4.json", "--cocycle",
       "zero", "--json"], 3, 120, 0, '"simple_central_objects": 5632'),
+    (["center-report", "--group", "file:{dir}/D4xC2_4.json", "--cocycle",
+      "file:{dir}/D4xC2_4_cup.json", "--json"], 3, 120, 0,
+     '"simple_central_objects": 1936'),
     # lifts: every class algebra of C2^7 with omega = 0 has 128
     # irreducibles, so multiplicity 2^17 is exactly MAX_LIFT_WORK = 2^24
     # big-integer additions; one more is refused, naming the bound
@@ -108,7 +115,7 @@ def write_inputs(d: str) -> None:
 
     import numpy as np
 
-    from zcenter.cohomology import Cochain, coboundary, cochain_to_json
+    from zcenter.cohomology import Cochain, coboundary, cochain_to_json, cup3
     from zcenter.group_core import (FiniteGroup, direct_product,
                                     parse_group_spec)
 
@@ -131,10 +138,16 @@ def write_inputs(d: str) -> None:
     D4 = FiniteGroup([[(a + (-1) ** b * c) % 4 + 4 * ((b + e) % 2)
                        for e, c in itertools.product(range(2), range(4))]
                       for b, a in itertools.product(range(2), range(4))])
-    G = direct_product(D4, parse_group_spec("C2xC2xC2xC2"))
+    C2_4 = parse_group_spec("C2xC2xC2xC2")
+    G = direct_product(D4, C2_4)
     with open(os.path.join(d, "D4xC2_4.json"), "w") as fh:
         json.dump({"order": G.order, "table": G.table.tolist(),
                    "label": "D4xC2^4"}, fh)
+    # pulled back along the projection g -> g mod 16 onto the C2^4 factor
+    onto = np.ix_(*[np.arange(G.order) % 16] * 3)
+    cup = Cochain(G, 3, 4, dense=cup3(C2_4, 0, 1, 2, 4).dense[onto])
+    with open(os.path.join(d, "D4xC2_4_cup.json"), "w") as fh:
+        json.dump(cochain_to_json(cup), fh)
 
 
 def spawn(argv, env, stdout=None, stderr=None):
